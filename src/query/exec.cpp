@@ -1,8 +1,10 @@
 #include "query/exec.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "cache/dataset_cache.h"
 #include "common/bytes.h"
@@ -33,40 +35,30 @@ std::string encode_table_shard(const Table& table, uint32_t shard,
   return std::string(buf.view());
 }
 
-bool RowPipeline::apply(Row* row) const {
+const Row* RowPipeline::apply(const Row& row, Row* scratch) const {
+  const Row* cur = &row;
   for (const Step& step : steps) {
     if (step.is_filter) {
-      if (!eval_predicate(step.pred, *row)) return false;
-    } else {
-      Row projected;
-      projected.reserve(step.cols.size());
-      for (uint32_t c : step.cols) projected.push_back(std::move((*row)[c]));
-      *row = std::move(projected);
+      if (!eval_predicate(step.pred, *cur)) return nullptr;
+      continue;
     }
+    // Project into a row other than the one read from: *scratch, or, when
+    // the input already is *scratch, a second lease swapped in afterwards.
+    Scratch<Row> second;
+    Row* dst = cur == scratch ? second.get() : scratch;
+    dst->resize(step.cols.size());
+    for (size_t k = 0; k < step.cols.size(); ++k) {
+      (*dst)[k] = (*cur)[step.cols[k]];
+    }
+    if (dst != scratch) std::swap(*dst, *scratch);
+    cur = scratch;
   }
-  return true;
+  return cur;
 }
 
 // --- aggregate state codec -------------------------------------------------
 
 namespace {
-
-void put_minmax(const Value& v, serde::Writer* w) {
-  switch (v.type) {
-    case ColType::kI64: w->put_zigzag(v.i); break;
-    case ColType::kF64: w->put_double(v.f); break;
-    case ColType::kStr: w->put_bytes(v.s); break;
-  }
-}
-
-Value get_minmax(ColType type, serde::Reader* r) {
-  switch (type) {
-    case ColType::kI64: return Value::of(r->get_zigzag());
-    case ColType::kF64: return Value::of(r->get_double());
-    case ColType::kStr: return Value::of(std::string(r->get_bytes()));
-  }
-  throw serde::DecodeError("unknown minmax type");
-}
 
 bool value_less(const Value& a, const Value& b) {
   switch (a.type) {
@@ -79,110 +71,124 @@ bool value_less(const Value& a, const Value& b) {
 
 }  // namespace
 
-std::string GroupCompiled::state_of_row(const Row& row) const {
-  ByteBuffer buf;
-  serde::Writer writer(buf);
+void GroupCompiled::state_of_row(const Row& row, serde::Writer* writer) const {
   for (const AggSpec& agg : aggs) {
     switch (agg.kind) {
       case AggKind::kCount:
-        writer.put_varint(1);
+        writer->put_varint(1);
         break;
       case AggKind::kSum: {
         const Value& v = row[agg.col];
         if (v.type == ColType::kI64) {
-          writer.put_fixed64(static_cast<uint64_t>(v.i));
+          writer->put_fixed64(static_cast<uint64_t>(v.i));
         } else {
-          writer.put_double(v.as_f64());
+          writer->put_double(v.as_f64());
         }
         break;
       }
       case AggKind::kMin:
       case AggKind::kMax:
-        put_minmax(row[agg.col], &writer);
+        encode_value(row[agg.col], in_schema.cols[agg.col].type, writer);
         break;
     }
   }
-  return std::string(buf.view());
 }
 
-std::string GroupCompiled::merge_states(std::string_view a,
-                                        std::string_view b) const {
+void GroupCompiled::merge_states(std::string_view a, std::string_view b,
+                                 serde::Writer* writer) const {
   serde::Reader ra(a), rb(b);
-  ByteBuffer buf;
-  serde::Writer writer(buf);
+  Scratch<Row> minmax;  // two reused Values for min/max operands
+  minmax->resize(2);
+  Value& va = (*minmax)[0];
+  Value& vb = (*minmax)[1];
   for (const AggSpec& agg : aggs) {
     switch (agg.kind) {
       case AggKind::kCount:
-        writer.put_varint(ra.get_varint() + rb.get_varint());
+        writer->put_varint(ra.get_varint() + rb.get_varint());
         break;
       case AggKind::kSum: {
         const ColType t = in_schema.cols[agg.col].type;
         if (t == ColType::kI64) {
-          writer.put_fixed64(ra.get_fixed64() + rb.get_fixed64());
+          writer->put_fixed64(ra.get_fixed64() + rb.get_fixed64());
         } else {
-          writer.put_double(ra.get_double() + rb.get_double());
+          writer->put_double(ra.get_double() + rb.get_double());
         }
         break;
       }
       case AggKind::kMin:
       case AggKind::kMax: {
         const ColType t = in_schema.cols[agg.col].type;
-        Value va = get_minmax(t, &ra);
-        Value vb = get_minmax(t, &rb);
+        decode_value(t, &ra, &va);
+        decode_value(t, &rb, &vb);
         const bool b_less = value_less(vb, va);
         const bool take_b = agg.kind == AggKind::kMin
                                 ? b_less
                                 : (!b_less && !(va == vb));
-        put_minmax(take_b ? vb : va, &writer);
+        encode_value(take_b ? vb : va, t, writer);
         break;
       }
     }
   }
-  return std::string(buf.view());
 }
 
-Row GroupCompiled::finalize(Row key_vals, std::string_view state) const {
+void GroupCompiled::finalize(std::string_view key, std::string_view state,
+                             Row* out) const {
+  decode_key(key, key_types, out);
+  out->resize(key_types.size() + aggs.size());
   serde::Reader reader(state);
-  Row out = std::move(key_vals);
-  for (const AggSpec& agg : aggs) {
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    const AggSpec& agg = aggs[a];
+    Value& v = (*out)[key_types.size() + a];
     switch (agg.kind) {
       case AggKind::kCount:
-        out.push_back(Value::of(static_cast<int64_t>(reader.get_varint())));
+        v = Value::of(static_cast<int64_t>(reader.get_varint()));
         break;
       case AggKind::kSum:
         if (in_schema.cols[agg.col].type == ColType::kI64) {
-          out.push_back(Value::of(static_cast<int64_t>(reader.get_fixed64())));
+          v = Value::of(static_cast<int64_t>(reader.get_fixed64()));
         } else {
-          out.push_back(Value::of(reader.get_double()));
+          v = Value::of(reader.get_double());
         }
         break;
       case AggKind::kMin:
       case AggKind::kMax:
-        out.push_back(get_minmax(in_schema.cols[agg.col].type, &reader));
+        decode_value(in_schema.cols[agg.col].type, &reader, &v);
         break;
     }
   }
-  return out;
 }
 
 // --- emit spec -------------------------------------------------------------
 
-void EmitSpec::emit_row(const Row& row, engine::Context& ctx) const {
+void EmitSpec::emit_row(const Row& in, engine::Context& ctx) const {
+  Scratch<Row> projected;
+  const Row* row = pipeline.apply(in, projected.get());
+  if (row == nullptr) return;
+  // Key and value are encoded back to back into one scratch buffer, which
+  // stays leased across ctx.emit(): a fused consumer running inside it
+  // leases its own.
+  ScratchWriter out;
   switch (mode) {
     case Mode::kLocalRow:
       // The edge is local: the record stays on this node regardless of key.
-      ctx.emit(0, std::string_view(), schema.encode_row(row));
+      schema.encode_row(*row, out.writer());
+      ctx.emit(0, std::string_view(), out.view());
       return;
     case Mode::kJoinSide: {
-      std::string value;
-      value.push_back(static_cast<char>(side));
-      value += schema.encode_row(row);
-      ctx.emit(0, encode_key(row, key_cols), value);
+      encode_key(*row, key_cols, out.writer());
+      const size_t key_len = out.size();
+      out.writer()->put_u8(side);
+      schema.encode_row(*row, out.writer());
+      ctx.emit(0, out.view().substr(0, key_len), out.view().substr(key_len));
       return;
     }
-    case Mode::kGroupState:
-      ctx.emit(0, encode_key(row, group->key_cols), group->state_of_row(row));
+    case Mode::kGroupState: {
+      encode_key(*row, group->key_cols, out.writer());
+      const size_t key_len = out.size();
+      group->state_of_row(*row, out.writer());
+      ctx.emit(0, out.view().substr(0, key_len), out.view().substr(key_len));
       return;
+    }
   }
 }
 
@@ -210,14 +216,13 @@ class RowScanLoader : public engine::LoaderFlowlet {
     // by the sort run loader), batch-decoding each block in one pass.
     uint64_t produced = 0;
     std::vector<std::string_view> blocks;
+    Scratch<std::vector<Row>> rows;
     while (produced < c_->rows_per_chunk && pos < shard.size()) {
       blocks.clear();
       if (serde::get_framed_run(shard, &pos, 1, &blocks) == 0) break;
-      std::vector<Row> rows = c_->table_schema.decode_row_block(blocks[0]);
-      produced += rows.size();
-      for (Row& row : rows) {
-        if (c_->pipeline.apply(&row)) c_->emit.emit_row(row, ctx);
-      }
+      c_->table_schema.decode_row_block(blocks[0], rows.get());
+      produced += rows->size();
+      for (const Row& row : *rows) c_->emit.emit_row(row, ctx);
     }
     *cursor = pos;
     return pos < shard.size();
@@ -267,14 +272,13 @@ class CachedRowScanLoader : public engine::LoaderFlowlet {
     uint64_t produced = 0;
     std::string_view key;
     std::string_view block;
+    Scratch<std::vector<Row>> rows;
     bool more = true;
     while (produced < c_->rows_per_chunk &&
            (more = cache::next_record(shard, &sc, &key, &block))) {
-      std::vector<Row> rows = c_->table_schema.decode_row_block(block);
-      produced += rows.size();
-      for (Row& row : rows) {
-        if (c_->pipeline.apply(&row)) c_->emit.emit_row(row, ctx);
-      }
+      c_->table_schema.decode_row_block(block, rows.get());
+      produced += rows->size();
+      for (const Row& row : *rows) c_->emit.emit_row(row, ctx);
     }
     *cursor = sc.packed;
     return more;
@@ -283,21 +287,6 @@ class CachedRowScanLoader : public engine::LoaderFlowlet {
  private:
   const std::shared_ptr<const ScanCompiled> c_;
   const std::shared_ptr<const cache::Dataset> dataset_;
-};
-
-// Fused filter/project chain above a join or group-by, fed over a local
-// edge. Stateless, so concurrent process() calls need no synchronization.
-class FusedMap : public engine::MapFlowlet {
- public:
-  explicit FusedMap(std::shared_ptr<const MapCompiled> c) : c_(std::move(c)) {}
-
-  void process(const engine::KvPair& record, engine::Context& ctx) override {
-    Row row = c_->in_schema.decode_row(record.value);
-    if (c_->pipeline.apply(&row)) c_->emit.emit_row(row, ctx);
-  }
-
- private:
-  const std::shared_ptr<const MapCompiled> c_;
 };
 
 // Inner equi-join: both sides shuffle on the encoded key, so one reduce call
@@ -311,22 +300,28 @@ class JoinFlowlet : public engine::ReduceFlowlet {
               const std::vector<std::string_view>& values,
               engine::Context& ctx) override {
     (void)key;
-    std::vector<Row> left, right;
+    // Each side decodes into reused rows; only the first n of a side's
+    // vector belong to this key.
+    Scratch<std::vector<Row>> left, right;
+    size_t num_left = 0, num_right = 0;
     for (std::string_view v : values) {
       if (v.empty()) throw serde::DecodeError("empty join value");
-      const uint8_t side = static_cast<uint8_t>(v.front());
-      std::string_view bytes = v.substr(1);
-      if (side == 0) {
-        left.push_back(c_->left_schema.decode_row(bytes));
-      } else {
-        right.push_back(c_->right_schema.decode_row(bytes));
-      }
+      const bool is_left = static_cast<uint8_t>(v.front()) == 0;
+      std::vector<Row>& rows = is_left ? *left : *right;
+      size_t& n = is_left ? num_left : num_right;
+      if (n == rows.size()) rows.emplace_back();
+      (is_left ? c_->left_schema : c_->right_schema)
+          .decode_row(v.substr(1), &rows[n++]);
     }
-    for (const Row& l : left) {
-      for (const Row& r : right) {
-        Row joined = l;
-        joined.insert(joined.end(), r.begin(), r.end());
-        c_->emit.emit_row(joined, ctx);
+    const size_t left_arity = c_->left_schema.size();
+    Scratch<Row> joined;
+    joined->resize(left_arity + c_->right_schema.size());
+    for (size_t l = 0; l < num_left; ++l) {
+      std::copy((*left)[l].begin(), (*left)[l].end(), joined->begin());
+      for (size_t r = 0; r < num_right; ++r) {
+        std::copy((*right)[r].begin(), (*right)[r].end(),
+                  joined->begin() + left_arity);
+        c_->emit.emit_row(*joined, ctx);
       }
     }
   }
@@ -347,12 +342,20 @@ class GroupByFlowlet : public engine::PartialReduceFlowlet {
   void fold(std::string_view key, std::string_view value,
             std::string& acc) override {
     (void)key;
-    acc = acc.empty() ? std::string(value) : g_->merge_states(acc, value);
+    if (acc.empty()) {
+      acc.assign(value);
+      return;
+    }
+    ScratchWriter merged;
+    g_->merge_states(acc, value, merged.writer());
+    acc.assign(merged.view());
   }
 
   void emit_result(std::string_view key, std::string_view acc,
                    engine::Context& ctx) override {
-    emit_.emit_row(g_->finalize(decode_key(key, g_->key_types), acc), ctx);
+    Scratch<Row> row;
+    g_->finalize(key, acc, row.get());
+    emit_.emit_row(*row, ctx);
   }
 
  private:
@@ -369,10 +372,9 @@ class SinkFlowlet : public engine::MapFlowlet {
 
   void process(const engine::KvPair& record, engine::Context& ctx) override {
     (void)ctx;
-    std::string line = to_hex(record.value);
-    line.push_back('\n');
     std::lock_guard<std::mutex> lock(mu_);
-    out_ += line;
+    append_hex(record.value, &out_);
+    out_.push_back('\n');
   }
 
   void finish(engine::Context& ctx) override {
@@ -399,10 +401,6 @@ engine::FlowletFactory make_cached_scan_loader(
   return [c, dataset] {
     return std::make_unique<CachedRowScanLoader>(c, dataset);
   };
-}
-
-engine::FlowletFactory make_fused_map(std::shared_ptr<const MapCompiled> c) {
-  return [c] { return std::make_unique<FusedMap>(c); };
 }
 
 engine::FlowletFactory make_join(std::shared_ptr<const JoinCompiled> c) {

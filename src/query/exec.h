@@ -3,9 +3,7 @@
 //
 // Lowering maps plan operators onto the engine's four flowlet kinds:
 //
-//   scan(+fused filter/project)  -> LoaderFlowlet over staged row shards
-//   filter/project above a join
-//   or group-by                  -> MapFlowlet fed over a local edge
+//   scan                         -> LoaderFlowlet over staged row shards
 //   hash_join                    -> ReduceFlowlet (shuffle both sides by the
 //                                   encoded join key, cross-product per key)
 //   group_by                     -> PartialReduceFlowlet folding encoded
@@ -16,17 +14,24 @@
 //                                   to the node-local store
 //
 // Every producing flowlet carries an EmitSpec that says how its consumer
-// wants rows handed over: plain local rows (sink / fused map), side-tagged
-// rows keyed by the join key, or single-row aggregate states keyed by the
-// group key. Group-by states are commutative + associative by construction
-// - upstream emits the state *of one row* and fold() merges states - which
-// is exactly what makes the sender-side combiner and crash-retry replays
-// safe.
+// wants rows handed over: plain local rows (sink), side-tagged rows keyed by
+// the join key, or single-row aggregate states keyed by the group key. A
+// filter/project chain above a scan, join or group-by is no stage of its
+// own: it rides in that stage's EmitSpec as a RowPipeline, applied to each
+// row before it is encoded. Group-by states are commutative + associative
+// by construction - upstream emits the state *of one row* and fold() merges
+// states - which is exactly what makes the sender-side combiner and
+// crash-retry replays safe.
+//
+// The per-row paths encode and decode into Scratch storage (row.h), never
+// into fresh strings or rows, and stay correct when ctx.emit() runs a fused
+// downstream stage inline on the same thread.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/flowlet.h"
@@ -53,8 +58,11 @@ struct RowPipeline {
   };
   std::vector<Step> steps;
 
-  // Applies the steps in order; returns false when a filter rejects.
-  bool apply(Row* row) const;
+  // Applies the steps in order and returns the resulting row, or nullptr
+  // when a filter rejects. `row` is never modified: projections copy into
+  // *scratch (so one may repeat a column), and the result is `&row` or
+  // `scratch`.
+  const Row* apply(const Row& row, Row* scratch) const;
 };
 
 // Compiled group-by: key layout, aggregate list, and the encoded aggregate
@@ -71,10 +79,12 @@ struct GroupCompiled {
   Schema in_schema;   // rows arriving at the group-by
   Schema out_schema;  // key columns + aggregate columns
 
-  std::string state_of_row(const Row& row) const;
-  std::string merge_states(std::string_view a, std::string_view b) const;
-  // key_vals = decoded key columns; returns the final output row.
-  Row finalize(Row key_vals, std::string_view state) const;
+  void state_of_row(const Row& row, serde::Writer* writer) const;
+  void merge_states(std::string_view a, std::string_view b,
+                    serde::Writer* writer) const;
+  // Overwrites *out with the output row: the decoded encode_key bytes `key`,
+  // then one value per aggregate of `state`.
+  void finalize(std::string_view key, std::string_view state, Row* out) const;
 };
 
 // How a producing flowlet hands rows to its (single) consumer.
@@ -85,7 +95,9 @@ struct EmitSpec {
     kGroupState,  // emit(0, encode_key(group keys), state_of_row(row))
   };
   Mode mode = Mode::kLocalRow;
-  Schema schema;                              // producer's output schema
+  // Filter/project steps fused into the producer, run on each row first.
+  RowPipeline pipeline;
+  Schema schema;                              // rows after the pipeline
   std::vector<uint32_t> key_cols;             // kJoinSide (composed join key)
   uint8_t side = 0;                           // kJoinSide tag (0=left)
   std::shared_ptr<const GroupCompiled> group; // kGroupState
@@ -97,7 +109,6 @@ struct EmitSpec {
 
 struct ScanCompiled {
   Schema table_schema;
-  RowPipeline pipeline;
   EmitSpec emit;
   uint64_t rows_per_chunk = 512;
 };
@@ -112,17 +123,10 @@ engine::FlowletFactory make_cached_scan_loader(
     std::shared_ptr<const ScanCompiled> c,
     std::shared_ptr<const cache::Dataset> dataset);
 
-struct MapCompiled {
-  Schema in_schema;
-  RowPipeline pipeline;
-  EmitSpec emit;
-};
-engine::FlowletFactory make_fused_map(std::shared_ptr<const MapCompiled> c);
-
 struct JoinCompiled {
   Schema left_schema;
   Schema right_schema;
-  EmitSpec emit;  // emit.schema is the joined schema
+  EmitSpec emit;  // its pipeline's input is the joined row (left ++ right)
 };
 engine::FlowletFactory make_join(std::shared_ptr<const JoinCompiled> c);
 

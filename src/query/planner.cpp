@@ -113,11 +113,9 @@ Schema schema_of(const Plan& plan, const Catalog& catalog) {
   return output_schema(plan, catalog);
 }
 
-ir::NodeId lower_scan_chain(const Plan& base, RowPipeline pipeline,
-                            EmitSpec emit, LowerCtx& ctx) {
+ir::NodeId lower_scan(const Plan& base, EmitSpec emit, LowerCtx& ctx) {
   auto compiled = std::make_shared<ScanCompiled>();
   compiled->table_schema = ctx.catalog.at(base.table).schema;
-  compiled->pipeline = std::move(pipeline);
   const ir::TypeTag out = tag_of(emit);
   compiled->emit = std::move(emit);
 
@@ -205,9 +203,9 @@ ir::NodeId lower_group_by(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
 }
 
 ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
-  // Peel the filter/project chain above the next shuffle (or scan): the
-  // steps fuse into whatever flowlet produces the chain's input rows.
-  RowPipeline pipeline;
+  // Peel the filter/project chain above the next shuffle (or scan) into the
+  // emit spec: the steps run inside whatever stage produces the chain's
+  // input rows, on each row before it is encoded for the consumer.
   const Plan* node = &plan;
   while (node->kind == Plan::Kind::kFilter ||
          node->kind == Plan::Kind::kProject) {
@@ -218,42 +216,17 @@ ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
     } else {
       step.cols = node->cols;
     }
-    pipeline.steps.insert(pipeline.steps.begin(), std::move(step));
+    emit.pipeline.steps.insert(emit.pipeline.steps.begin(), std::move(step));
     node = node->child.get();
   }
 
   switch (node->kind) {
     case Plan::Kind::kScan:
-      return lower_scan_chain(*node, std::move(pipeline), std::move(emit), ctx);
-
+      return lower_scan(*node, std::move(emit), ctx);
     case Plan::Kind::kJoin:
-    case Plan::Kind::kGroupBy: {
-      const bool is_join = node->kind == Plan::Kind::kJoin;
-      if (pipeline.steps.empty()) {
-        return is_join ? lower_join(*node, std::move(emit), ctx)
-                       : lower_group_by(*node, std::move(emit), ctx);
-      }
-      // Map fed over a local edge: the base's output rows are already
-      // partitioned however its own shuffle left them, and filter/project
-      // are row-local, so no network hop is needed. The fuse_maps pass then
-      // folds it into the producing stage's task body.
-      auto compiled = std::make_shared<MapCompiled>();
-      compiled->in_schema = schema_of(*node, ctx.catalog);
-      compiled->pipeline = std::move(pipeline);
-      const ir::TypeTag out = tag_of(emit);
-      compiled->emit = std::move(emit);
-      const ir::NodeId map = ctx.graph.add_map(
-          "QueryFusedMap", make_fused_map(compiled), {"", "row"}, out);
-
-      EmitSpec base_emit;
-      base_emit.mode = EmitSpec::Mode::kLocalRow;
-      base_emit.schema = compiled->in_schema;
-      const ir::NodeId base = is_join ? lower_join(*node, base_emit, ctx)
-                                      : lower_group_by(*node, base_emit, ctx);
-      ctx.graph.connect(base, map, ir::local_attrs());
-      return map;
-    }
-
+      return lower_join(*node, std::move(emit), ctx);
+    case Plan::Kind::kGroupBy:
+      return lower_group_by(*node, std::move(emit), ctx);
     case Plan::Kind::kFilter:
     case Plan::Kind::kProject:
       break;  // unreachable: peeled above

@@ -10,10 +10,10 @@
 //                        analog: scans read node-local disks, paper §5.1);
 //   2. lower()         - recursively compile the plan tree into a
 //                        FlowletGraph + JobInputs. Filter/project chains
-//                        fuse into the flowlet below them (the scan loader
-//                        when the base is a scan, a single local-edge map
-//                        otherwise); joins and group-bys become shuffle
-//                        stages; a sink map collects final rows per node;
+//                        run inside the scan, join or group-by below them,
+//                        on each row before it is encoded; joins and
+//                        group-bys become shuffle stages; a sink map
+//                        collects final rows per node;
 //   3. run             - Engine::run or JobService::submit; the job's
 //                        collect() merges every node's sink file into the
 //                        ticket payload;

@@ -75,8 +75,6 @@ int Schema::index_of(std::string_view name) const {
   return -1;
 }
 
-namespace {
-
 void encode_value(const Value& value, ColType expect, serde::Writer* writer) {
   if (value.type != expect) {
     throw std::invalid_argument(std::string("row value is ") +
@@ -96,16 +94,23 @@ void encode_value(const Value& value, ColType expect, serde::Writer* writer) {
   }
 }
 
-Value decode_value(ColType type, serde::Reader* reader) {
+void decode_value(ColType type, serde::Reader* reader, Value* value) {
+  value->type = type;
   switch (type) {
-    case ColType::kI64: return Value::of(reader->get_zigzag());
-    case ColType::kF64: return Value::of(reader->get_double());
-    case ColType::kStr: return Value::of(std::string(reader->get_bytes()));
+    case ColType::kI64:
+      value->i = reader->get_zigzag();
+      value->s.clear();
+      return;
+    case ColType::kF64:
+      value->f = reader->get_double();
+      value->s.clear();
+      return;
+    case ColType::kStr:
+      value->s.assign(reader->get_bytes());
+      return;
   }
   throw serde::DecodeError("unknown column type");
 }
-
-}  // namespace
 
 void Schema::encode_row(const Row& row, serde::Writer* writer) const {
   if (row.size() != cols.size()) {
@@ -124,20 +129,21 @@ std::string Schema::encode_row(const Row& row) const {
   return std::string(buf.view());
 }
 
-Row Schema::decode_row(serde::Reader* reader) const {
-  Row row;
-  row.reserve(cols.size());
-  for (const Column& col : cols) row.push_back(decode_value(col.type, reader));
-  return row;
-}
-
-Row Schema::decode_row(std::string_view bytes) const {
+void Schema::decode_row(std::string_view bytes, Row* row) const {
   serde::Reader reader(bytes);
-  Row row = decode_row(&reader);
+  row->resize(cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    decode_value(cols[c].type, &reader, &(*row)[c]);
+  }
   if (!reader.at_end()) {
     throw serde::DecodeError("trailing bytes after row: " +
                              std::to_string(reader.remaining()));
   }
+}
+
+Row Schema::decode_row(std::string_view bytes) const {
+  Row row;
+  decode_row(bytes, &row);
   return row;
 }
 
@@ -195,38 +201,53 @@ std::string Schema::encode_row_block(const std::vector<Row>& rows) const {
   return std::string(buf.view());
 }
 
-std::vector<Row> Schema::decode_row_block(std::string_view bytes) const {
+void Schema::decode_row_block(std::string_view bytes,
+                              std::vector<Row>* rows) const {
   serde::Reader reader(bytes);
   const uint64_t count = reader.get_varint();
-  std::vector<Row> rows(count);
-  for (uint64_t i = 0; i < count; ++i) rows[i].reserve(cols.size());
-  std::vector<uint64_t> u64s;
-  std::vector<double> f64s;
-  std::vector<std::string_view> views;
-  for (const Column& col : cols) {
-    switch (col.type) {
+  // Every column run spends at least one byte per row.
+  if (!cols.empty() && count > reader.remaining()) {
+    throw serde::DecodeError("row block count " + std::to_string(count) +
+                             " exceeds its " +
+                             std::to_string(reader.remaining()) + " bytes");
+  }
+  rows->resize(count);
+  for (Row& row : *rows) row.resize(cols.size());
+  Scratch<std::vector<uint64_t>> u64s;
+  Scratch<std::vector<double>> f64s;
+  Scratch<std::vector<std::string_view>> views;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    switch (cols[c].type) {
       case ColType::kI64:
-        u64s.clear();
-        serde::get_u64_run(reader, &u64s);
-        if (u64s.size() != count) throw serde::DecodeError("i64 run count");
+        u64s->clear();
+        serde::get_u64_run(reader, u64s.get());
+        if (u64s->size() != count) throw serde::DecodeError("i64 run count");
         for (uint64_t i = 0; i < count; ++i) {
-          rows[i].push_back(Value::of(static_cast<int64_t>(u64s[i])));
+          Value& value = (*rows)[i][c];
+          value.type = ColType::kI64;
+          value.i = static_cast<int64_t>((*u64s)[i]);
+          value.s.clear();
         }
         break;
       case ColType::kF64:
-        f64s.clear();
-        serde::get_f64_run(reader, &f64s);
-        if (f64s.size() != count) throw serde::DecodeError("f64 run count");
+        f64s->clear();
+        serde::get_f64_run(reader, f64s.get());
+        if (f64s->size() != count) throw serde::DecodeError("f64 run count");
         for (uint64_t i = 0; i < count; ++i) {
-          rows[i].push_back(Value::of(f64s[i]));
+          Value& value = (*rows)[i][c];
+          value.type = ColType::kF64;
+          value.f = (*f64s)[i];
+          value.s.clear();
         }
         break;
       case ColType::kStr:
-        views.clear();
-        serde::get_string_run(reader, &views);
-        if (views.size() != count) throw serde::DecodeError("str run count");
+        views->clear();
+        serde::get_string_run(reader, views.get());
+        if (views->size() != count) throw serde::DecodeError("str run count");
         for (uint64_t i = 0; i < count; ++i) {
-          rows[i].push_back(Value::of(std::string(views[i])));
+          Value& value = (*rows)[i][c];
+          value.type = ColType::kStr;
+          value.s.assign((*views)[i]);
         }
         break;
     }
@@ -235,7 +256,6 @@ std::vector<Row> Schema::decode_row_block(std::string_view bytes) const {
     throw serde::DecodeError("trailing bytes after row block: " +
                              std::to_string(reader.remaining()));
   }
-  return rows;
 }
 
 std::string Schema::to_string() const {
@@ -254,37 +274,39 @@ void encode_key_value(const Value& value, serde::Writer* writer) {
   encode_value(value, value.type, writer);
 }
 
+void encode_key(const Row& row, const std::vector<uint32_t>& cols,
+                serde::Writer* writer) {
+  for (uint32_t c : cols) encode_key_value(row.at(c), writer);
+}
+
 std::string encode_key(const Row& row, const std::vector<uint32_t>& cols) {
   ByteBuffer buf;
   serde::Writer writer(buf);
-  for (uint32_t c : cols) encode_key_value(row.at(c), &writer);
+  encode_key(row, cols, &writer);
   return std::string(buf.view());
 }
 
-Row decode_key(std::string_view bytes, const std::vector<ColType>& types) {
+void decode_key(std::string_view bytes, const std::vector<ColType>& types,
+                Row* row) {
   serde::Reader reader(bytes);
-  Row row;
-  row.reserve(types.size());
-  for (ColType type : types) {
+  row->resize(types.size());
+  for (size_t k = 0; k < types.size(); ++k) {
     const uint8_t tag = reader.get_u8();
-    if (tag != static_cast<uint8_t>(type)) {
+    if (tag != static_cast<uint8_t>(types[k])) {
       throw serde::DecodeError("key type tag mismatch");
     }
-    row.push_back(decode_value(type, &reader));
+    decode_value(types[k], &reader, &(*row)[k]);
   }
   if (!reader.at_end()) throw serde::DecodeError("trailing bytes after key");
-  return row;
 }
 
-std::string to_hex(std::string_view bytes) {
+void append_hex(std::string_view bytes, std::string* out) {
   static const char* kDigits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
+  out->reserve(out->size() + bytes.size() * 2);
   for (unsigned char b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xf]);
+    out->push_back(kDigits[b >> 4]);
+    out->push_back(kDigits[b & 0xf]);
   }
-  return out;
 }
 
 namespace {

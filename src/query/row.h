@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,10 +73,10 @@ struct Schema {
   void encode_row(const Row& row, serde::Writer* writer) const;
   std::string encode_row(const Row& row) const;
 
-  // Decodes one row, consuming exactly its bytes from the reader; throws
-  // serde::DecodeError on truncation. The string_view overload additionally
-  // requires the buffer to end with the row.
-  Row decode_row(serde::Reader* reader) const;
+  // Decodes one row that must span exactly `bytes`; throws
+  // serde::DecodeError on truncation or trailing bytes. The out-parameter
+  // form overwrites *row in place, reusing its Value storage.
+  void decode_row(std::string_view bytes, Row* row) const;
   Row decode_row(std::string_view bytes) const;
 
   // Column-major batch codec for staged shards (serde/batch.h runs): varint
@@ -88,10 +89,20 @@ struct Schema {
   void encode_row_block(const Row* rows, size_t count,
                         serde::Writer* writer) const;
   std::string encode_row_block(const std::vector<Row>& rows) const;
-  std::vector<Row> decode_row_block(std::string_view bytes) const;
+  // Resizes *rows to the block's row count and overwrites them in place,
+  // reusing their Row/Value storage. A count the block's remaining bytes
+  // cannot hold is rejected before anything is allocated.
+  void decode_row_block(std::string_view bytes, std::vector<Row>* rows) const;
 
   std::string to_string() const;  // "name:type, ..." for error messages
 };
+
+// One value in the row encoding, without a type byte. encode_value throws
+// std::invalid_argument when value.type differs from `type`; decode_value
+// overwrites *value in place (a reused string keeps its capacity) and
+// throws serde::DecodeError on truncation.
+void encode_value(const Value& value, ColType type, serde::Writer* writer);
+void decode_value(ColType type, serde::Reader* reader, Value* value);
 
 // Self-describing single-value encoding (type byte + row encoding of the
 // value) used for shuffle/group keys. Injective across types: an i64 5 and
@@ -99,15 +110,71 @@ struct Schema {
 void encode_key_value(const Value& value, serde::Writer* writer);
 
 // Concatenated encode_key_value of row[c] for each c in cols.
+void encode_key(const Row& row, const std::vector<uint32_t>& cols,
+                serde::Writer* writer);
 std::string encode_key(const Row& row, const std::vector<uint32_t>& cols);
 
-// Inverse of encode_key for known key-column types; throws
-// serde::DecodeError on truncation or a type-byte mismatch.
-Row decode_key(std::string_view bytes, const std::vector<ColType>& types);
+// Inverse of encode_key for known key-column types, overwriting *row in
+// place like Schema::decode_row; throws serde::DecodeError on truncation or
+// a type-byte mismatch.
+void decode_key(std::string_view bytes, const std::vector<ColType>& types,
+                Row* row);
 
 // Hex transport for encoded rows in sink output files (rows may contain
-// arbitrary string bytes, including newlines and tabs).
-std::string to_hex(std::string_view bytes);
+// arbitrary string bytes, including newlines and tabs). Appends to *out.
+void append_hex(std::string_view bytes, std::string* out);
 std::string from_hex(std::string_view hex);  // throws std::invalid_argument
+
+// Reused per-thread storage for the per-row paths. A Scratch<T> leases the
+// next free T from its thread's stack and hands it back on destruction, so
+// a nested lease on the same thread gets its own object. That is the rule
+// every user relies on: a fused downstream stage may encode or decode rows
+// inside ctx.emit() while the outer stage's scratch is still live. Objects
+// keep their contents and capacity across leases (a thread holds its
+// high-water mark until it exits); users reset what they use.
+template <typename T>
+class Scratch {
+ public:
+  Scratch() : stack_(stack()) {
+    if (stack_.depth == stack_.items.size()) {
+      stack_.items.push_back(std::make_unique<T>());
+    }
+    item_ = stack_.items[stack_.depth++].get();
+  }
+  ~Scratch() { --stack_.depth; }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  T& operator*() const { return *item_; }
+  T* operator->() const { return item_; }
+  T* get() const { return item_; }
+
+ private:
+  struct Stack {
+    std::vector<std::unique_ptr<T>> items;  // unique_ptr: stable across growth
+    size_t depth = 0;
+  };
+  static Stack& stack() {
+    thread_local Stack s;
+    return s;
+  }
+
+  Stack& stack_;
+  T* item_ = nullptr;
+};
+
+// A cleared scratch ByteBuffer with a Writer over it.
+class ScratchWriter {
+ public:
+  ScratchWriter() : writer_(*buf_) { buf_->clear(); }
+
+  serde::Writer* writer() { return &writer_; }
+  size_t size() const { return buf_->size(); }
+  std::string_view view() const { return buf_->view(); }
+
+ private:
+  Scratch<ByteBuffer> buf_;
+  serde::Writer writer_;
+};
 
 }  // namespace hamr::query

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -37,8 +38,19 @@ inline void put_u64_run(Writer& w, const std::vector<uint64_t>& values) {
   put_u64_run(w, values.data(), values.size());
 }
 
+// Hostile-input guard shared by the run decoders: a run of `count` values
+// of at least `min_bytes` each must fit in what is left, checked before any
+// allocation or size arithmetic that could overflow.
+inline void require_run(const Reader& r, uint64_t count, size_t min_bytes) {
+  if (count > r.remaining() / min_bytes) {
+    throw DecodeError("run count " + std::to_string(count) + " exceeds its " +
+                      std::to_string(r.remaining()) + " bytes");
+  }
+}
+
 inline void get_u64_run(Reader& r, std::vector<uint64_t>* out) {
   const uint64_t count = r.get_varint();
+  require_run(r, count, sizeof(uint64_t));
   const std::string_view raw = r.get_raw(count * sizeof(uint64_t));
   const size_t base = out->size();
   out->resize(base + count);
@@ -56,6 +68,7 @@ inline void put_f64_run(Writer& w, const std::vector<double>& values) {
 
 inline void get_f64_run(Reader& r, std::vector<double>* out) {
   const uint64_t count = r.get_varint();
+  require_run(r, count, sizeof(double));
   const std::string_view raw = r.get_raw(count * sizeof(double));
   const size_t base = out->size();
   out->resize(base + count);
@@ -82,10 +95,16 @@ inline void put_string_run(Writer& w, const std::vector<std::string_view>& value
 // the whole run.
 inline void get_string_run(Reader& r, std::vector<std::string_view>* out) {
   const uint64_t count = r.get_varint();
+  require_run(r, count, 1);  // one length byte per string at least
   std::vector<uint64_t> lens(count);
   uint64_t total = 0;
   for (uint64_t i = 0; i < count; ++i) {
     lens[i] = r.get_varint();
+    // The payload follows the lengths, so it must fit in what is left; this
+    // also keeps `total` from wrapping.
+    if (lens[i] > r.remaining() || total + lens[i] > r.remaining()) {
+      throw DecodeError("string run payload exceeds its input");
+    }
     total += lens[i];
   }
   std::string_view payload = r.get_raw(total);

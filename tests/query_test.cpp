@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
+#include "ir/ir.h"
 #include "query/planner.h"
 #include "query/reference.h"
 #include "query/testgen.h"
@@ -184,6 +185,96 @@ TEST_F(QueryDifferential, SingleHotGroupByKey) {
                            {AggKind::kMax, 2}});
   ASSERT_EQ(reference_eval(*plan, catalog).size(), 1u);
   expect_differential_match(*plan, catalog, "edge_hot_key");
+}
+
+TEST_F(QueryDifferential, ProjectionRepeatingStrColumnsCopiesValues) {
+  // A projection that names one str column twice must copy it into both
+  // slots, on a scan and above a join alike; moving it out of the input row
+  // would leave the second copy empty.
+  Catalog catalog;
+  Table left = three_col_table();
+  Table right = three_col_table();
+  for (int64_t i = 0; i < 40; ++i) {
+    left.rows.push_back({V(i % 10), V(static_cast<double>(i) / 16.0),
+                         V(("left-" + std::to_string(i)).c_str())});
+    right.rows.push_back({V(i % 5), V(static_cast<double>(i) / 8.0),
+                          V(("right-" + std::to_string(i)).c_str())});
+  }
+  catalog.tables["t1"] = std::move(left);
+  catalog.tables["t2"] = std::move(right);
+
+  expect_differential_match(*project(scan("t1"), {2, 2, 0, 2}), catalog,
+                            "edge_repeat_scan");
+  // Joined columns: l.k l.v l.s r.k r.v r.s; a filter over the repeated
+  // projection reads the copies.
+  PlanPtr post_join = filter(
+      project(hash_join(scan("t1"), scan("t2"), 0, 0), {5, 2, 5, 2, 3}),
+      Expr::cmp(2, CmpOp::kNe, V("")));
+  ASSERT_FALSE(reference_eval(*post_join, catalog).empty());
+  expect_differential_match(*post_join, catalog, "edge_repeat_join");
+}
+
+// Filter/project above a join or group-by runs inside that stage: lowering
+// adds no map between it and the sink, and the results still match.
+TEST_F(QueryDifferential, FilterProjectAboveShuffleLowersIntoTheStage) {
+  Catalog catalog;
+  Table left = three_col_table();
+  Table right = three_col_table();
+  for (int64_t i = 0; i < 64; ++i) {
+    left.rows.push_back({V(i % 16), V(static_cast<double>(i) / 16.0),
+                         V(i % 2 ? "odd" : "even")});
+    right.rows.push_back({V(i % 8), V(static_cast<double>(i) / 4.0), V("r")});
+  }
+  catalog.tables["t1"] = std::move(left);
+  catalog.tables["t2"] = std::move(right);
+
+  auto post_join = [](Expr pred) {
+    return project(filter(hash_join(scan("t1"), scan("t2"), 0, 0), pred),
+                   {2, 0, 4});
+  };
+  auto post_group_by = [](Expr pred) {
+    return filter(group_by(scan("t1"), {2},
+                           {{AggKind::kCount, 0}, {AggKind::kSum, 1}}),
+                  pred);
+  };
+  struct Case {
+    std::string tag;
+    PlanPtr plan;
+    ir::NodeKind stage;  // what must feed the sink directly
+    bool empty;          // the filter rejects every row
+  };
+  std::vector<Case> cases;
+  cases.push_back({"fuse_join", post_join(Expr::cmp(4, CmpOp::kLt, V(8.0))),
+                   ir::NodeKind::kReduce, false});
+  cases.push_back({"fuse_join_none",
+                   post_join(Expr::cmp(3, CmpOp::kGt, V(int64_t{100}))),
+                   ir::NodeKind::kReduce, true});
+  cases.push_back({"fuse_group_by",
+                   post_group_by(Expr::cmp(0, CmpOp::kEq, V("odd"))),
+                   ir::NodeKind::kCombine, false});
+  cases.push_back({"fuse_group_by_none",
+                   post_group_by(Expr::cmp(1, CmpOp::kGt, V(int64_t{1000}))),
+                   ir::NodeKind::kCombine, true});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tag);
+    const StagedTables staged = stage_tables(
+        env_->engine->cluster(), catalog, scan_tables(*c.plan), c.tag);
+    const ir::Graph graph = lower_ir(*c.plan, catalog, staged, c.tag);
+    ir::verify(graph);
+    size_t maps = 0;
+    for (const ir::Node& node : graph.nodes) {
+      if (node.kind == ir::NodeKind::kMap) ++maps;
+    }
+    EXPECT_EQ(maps, 0u) << ir::dump(graph);
+    const ir::Node& sink = graph.node(0);  // lower_ir adds the sink first
+    ASSERT_EQ(sink.name, "QuerySink");
+    ASSERT_EQ(sink.in_edges.size(), 1u);
+    EXPECT_EQ(graph.node(graph.edge(sink.in_edges[0]).src).kind, c.stage)
+        << ir::dump(graph);
+    EXPECT_EQ(reference_eval(*c.plan, catalog).empty(), c.empty);
+    expect_differential_match(*c.plan, catalog, c.tag);
+  }
 }
 
 // ---- Service path ----------------------------------------------------------

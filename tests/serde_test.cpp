@@ -255,11 +255,14 @@ TEST(QueryRow, RoundTripsExtremeValues) {
        query::Value::of(std::numeric_limits<double>::denorm_min()),
        query::Value::of(std::string(4096, 'z'))},
   };
+  query::Row reused;  // carries the previous row's values into each decode
   for (const query::Row& row : rows) {
     const std::string bytes = schema.encode_row(row);
     const query::Row back = schema.decode_row(bytes);
     ASSERT_EQ(back.size(), row.size());
     EXPECT_EQ(back, row);
+    schema.decode_row(bytes, &reused);
+    EXPECT_EQ(reused, row);
     // Injectivity in the other direction: re-encoding reproduces the bytes.
     EXPECT_EQ(schema.encode_row(back), bytes);
   }
@@ -303,7 +306,9 @@ TEST(QueryRow, RandomRowsRoundTripThroughRowAndKeyCodecs) {
     EXPECT_EQ(schema.decode_row(schema.encode_row(row)), row);
     // Key form: self-describing, decodes back with the type list.
     const std::string key = query::encode_key(row, all_cols);
-    EXPECT_EQ(query::decode_key(key, types), row);
+    query::Row key_row;
+    query::decode_key(key, types, &key_row);
+    EXPECT_EQ(key_row, row);
   }
 }
 
@@ -320,16 +325,17 @@ TEST(QueryRow, DecodeRejectsTruncatedAndTrailingBytes) {
                  DecodeError)
         << "prefix length " << len;
   }
-  // Trailing garbage after a complete row is an error for the whole-buffer
-  // overload (a Reader-based caller may continue with the next row instead).
+  // Trailing garbage after a complete row is an error.
   EXPECT_THROW(schema.decode_row(bytes + "x"), DecodeError);
 
   // Key decode checks the type tags, not just the lengths.
   const std::string key = query::encode_key(row, {0});
-  EXPECT_THROW(query::decode_key(key, {query::ColType::kStr}), DecodeError);
-  EXPECT_THROW(
-      query::decode_key(key.substr(0, key.size() - 1), {query::ColType::kI64}),
-      DecodeError);
+  query::Row key_row;
+  EXPECT_THROW(query::decode_key(key, {query::ColType::kStr}, &key_row),
+               DecodeError);
+  EXPECT_THROW(query::decode_key(key.substr(0, key.size() - 1),
+                                 {query::ColType::kI64}, &key_row),
+               DecodeError);
 }
 
 TEST(QueryRow, EncodeValidatesSchemaShape) {
@@ -348,10 +354,55 @@ TEST(QueryRow, EncodeValidatesSchemaShape) {
   EXPECT_THROW(query::Value::of("s").as_f64(), std::invalid_argument);
 }
 
+// Hostile row-block counts: a count the remaining bytes cannot hold is a
+// DecodeError before any row storage is allocated, never bad_alloc or
+// length_error from sizing a vector to it.
+TEST(QueryRow, RowBlockRejectsCountsBeyondItsBytes) {
+  const query::Schema schema = mixed_schema();
+  for (const uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    ByteBuffer buf;
+    Writer w(buf);
+    w.put_varint(count);
+    std::vector<query::Row> rows;
+    EXPECT_THROW(schema.decode_row_block(buf.view(), &rows), DecodeError)
+        << count;
+    EXPECT_TRUE(rows.empty());
+  }
+  // A plausible block count whose first run claims more values than follow
+  // (count * 8 wraps to 0 for 2^61) fails in the run decoder the same way.
+  for (const uint64_t run : {uint64_t{1} << 61, uint64_t{1} << 40}) {
+    ByteBuffer buf;
+    Writer w(buf);
+    w.put_varint(1);
+    w.put_varint(run);
+    std::vector<query::Row> rows;
+    EXPECT_THROW(schema.decode_row_block(buf.view(), &rows), DecodeError)
+        << run;
+  }
+  // Same for a string run's count and for a length that would wrap the
+  // payload total.
+  query::Schema strings;
+  strings.cols = {{"s", query::ColType::kStr}};
+  for (const uint64_t bad : {uint64_t{1} << 40, ~uint64_t{0}}) {
+    ByteBuffer buf;
+    Writer w(buf);
+    w.put_varint(2);    // rows
+    w.put_varint(2);    // string run count
+    w.put_varint(5);    // first length
+    w.put_varint(bad);  // second length
+    w.put_raw("hello", 5);
+    std::vector<query::Row> rows;
+    EXPECT_THROW(strings.decode_row_block(buf.view(), &rows), DecodeError)
+        << bad;
+  }
+}
+
 TEST(QueryRow, HexTransportRoundTripsAndRejectsGarbage) {
   std::string raw;
   for (int i = 0; i < 256; ++i) raw.push_back(static_cast<char>(i));
-  EXPECT_EQ(query::from_hex(query::to_hex(raw)), raw);
+  std::string hex = "ab";  // appends after what is already there
+  query::append_hex(raw, &hex);
+  EXPECT_EQ(query::from_hex(hex), "\xab" + raw);
   EXPECT_THROW(query::from_hex("abc"), std::invalid_argument);   // odd length
   EXPECT_THROW(query::from_hex("zz"), std::invalid_argument);    // bad digit
 }

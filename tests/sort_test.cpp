@@ -323,15 +323,20 @@ TEST(BatchCodec, RowBlockRoundTripAllColumnTypes) {
                     query::Value::of("row-" + std::to_string(i))});
   }
   const std::string block = schema.encode_row_block(rows);
-  const std::vector<query::Row> decoded = schema.decode_row_block(block);
+  // Decoding into storage that already holds longer, differently typed rows
+  // must overwrite them completely.
+  std::vector<query::Row> decoded(
+      12, query::Row(4, query::Value::of(std::string(64, 'x'))));
+  schema.decode_row_block(block, &decoded);
   ASSERT_EQ(decoded.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(decoded[i], rows[i]);
 
   // Per-block layout still enforces schema shape.
   std::vector<query::Row> bad = {{query::Value::of(int64_t(1))}};
   EXPECT_THROW(schema.encode_row_block(bad), std::invalid_argument);
-  EXPECT_THROW(schema.decode_row_block(block.substr(0, block.size() - 2)),
-               serde::DecodeError);
+  EXPECT_THROW(
+      schema.decode_row_block(block.substr(0, block.size() - 2), &decoded),
+      serde::DecodeError);
 }
 
 // --- end-to-end distributed sort -------------------------------------------
