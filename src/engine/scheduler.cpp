@@ -37,6 +37,13 @@ bool ShardedScheduler::push_bin(QueueItem&& item, bool force) {
     }
     if (stopping_.load()) return false;
   }
+  // Account BEFORE the item becomes visible: a worker may pop it and settle
+  // the instant the shard lock drops, and settling first would wrap the
+  // unsigned counters. A wrapped queued_bytes_ reads as over budget, parks a
+  // concurrent pusher in the space wait, and no later settle wakes it.
+  queued_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  pending_bins_.fetch_add(1, std::memory_order_relaxed);
+  pending_.fetch_add(1);
   Shard& shard = shards_[item.src % shards_.size()];
   bool was_workless;
   {
@@ -44,9 +51,6 @@ bool ShardedScheduler::push_bin(QueueItem&& item, bool force) {
     was_workless = shard.bins.empty() && shard.tasks.empty();
     shard.bins.push_back(std::move(item));
   }
-  queued_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  pending_bins_.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1);
   publish_gauges();
   // Only a workless -> workful transition wakes a worker: appends to an
   // already-workful shard ride the wakeup that transition already sent (a
@@ -60,12 +64,12 @@ void ShardedScheduler::push_task(std::function<void()> task) {
   const size_t i = task_rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   Shard& shard = shards_[i];
   bool was_workless;
+  pending_.fetch_add(1);  // before visibility, as in push_bin
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     was_workless = shard.bins.empty() && shard.tasks.empty();
     shard.tasks.push_back(std::move(task));
   }
-  pending_.fetch_add(1);
   if (was_workless) notify_workers();
 }
 
