@@ -1,10 +1,18 @@
 #include "engine/bin.h"
 
+#include <algorithm>
+
 namespace hamr::engine {
 
 namespace {
 
 constexpr size_t kCountSlotBytes = 5;
+
+size_t varint_size(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 void append_varint(std::string* out, uint64_t v) {
   while (v >= 0x80) {
@@ -48,6 +56,13 @@ void BinBuilder::ensure_header() {
 
 void BinBuilder::add(std::string_view key, std::string_view value) {
   ensure_header();
+  // One capacity check per record: grow once (geometrically) for the whole
+  // record, so the appends below never reallocate midway through it.
+  const size_t need = varint_size(key.size()) + key.size() +
+                      varint_size(value.size()) + value.size();
+  if (payload_.capacity() - payload_.size() < need) {
+    payload_.reserve(std::max(payload_.size() + need, 2 * payload_.capacity()));
+  }
   append_varint(&payload_, key.size());
   payload_.append(key.data(), key.size());
   append_varint(&payload_, value.size());
@@ -87,12 +102,30 @@ BinView::BinView(std::string_view data) : data_(data) {
 
 bool BinView::next(KvPair* out) {
   if (seen_ >= count_) return false;
-  serde::Reader r(data_.substr(pos_));
-  out->key = r.get_bytes();
-  out->value = r.get_bytes();
-  pos_ += r.position();
+  size_t pos = pos_;
+  out->key = field_at(&pos);
+  out->value = field_at(&pos);
+  pos_ = pos;
   ++seen_;
   return true;
+}
+
+std::string_view BinView::field_at(size_t* pos) const {
+  // Fast path: a single-byte length whose bytes lie inside the bin.
+  const size_t at = *pos;
+  if (at < data_.size()) {
+    const auto len = static_cast<uint8_t>(data_[at]);
+    if (len < 0x80 && len < data_.size() - at) {
+      *pos = at + 1 + len;
+      return std::string_view(data_.data() + at + 1, len);
+    }
+  }
+  // Anything else takes the checked reader, which throws serde::DecodeError
+  // on a truncated or overlong varint and on a length past the end.
+  serde::Reader r(data_.substr(at));
+  const std::string_view field = r.get_bytes();
+  *pos = at + r.position();
+  return field;
 }
 
 void BinView::rewind() {

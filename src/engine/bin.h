@@ -92,6 +92,9 @@ class BinView {
   void rewind();
 
  private:
+  // The length-prefixed field at *pos; advances *pos past it.
+  std::string_view field_at(size_t* pos) const;
+
   std::string_view data_;
   uint64_t job_epoch_ = 0;
   EdgeId edge_ = 0;

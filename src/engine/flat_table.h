@@ -41,8 +41,13 @@ class FlatAccTable {
   // The accumulator for `key`, default-constructed on first sight. The
   // reference is invalidated by the next find_or_insert (vector growth).
   std::string& find_or_insert(std::string_view key) {
+    return find_or_insert(key, hash_bytes(key));
+  }
+
+  // Same, with `h` = hash_bytes(key) already computed by the caller (the
+  // fold paths hash each record once for both stripe choice and probe).
+  std::string& find_or_insert(std::string_view key, uint64_t h) {
     if (slots_.empty()) rebuild(kInitialSlots);
-    const uint64_t h = hash_bytes(key);
     const size_t mask = slots_.size() - 1;
     size_t i = static_cast<size_t>(h) & mask;
     for (;; i = (i + 1) & mask) {

@@ -162,7 +162,9 @@ class PartialReduceFlowlet : public Flowlet {
   }
 
   // Drains the window ends first opened since the last call (the runtime
-  // logs them as kWindowOpen). Appends to *out.
+  // logs them as kWindowOpen). Appends to *out. Called once per bin, on the
+  // thread that folded it, after its folds and before the bin counts as
+  // processed - the place to publish per-bin operator state.
   virtual void take_opened_windows(std::vector<int64_t>* out) { (void)out; }
 };
 

@@ -26,10 +26,9 @@ uint32_t stage_of(std::string_view key, uint32_t stages) {
              : static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x5743) % stages);
 }
 
-uint32_t stripe_of(std::string_view key, uint32_t stripes) {
-  return stripes <= 1
-             ? 0
-             : static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x9d13) % stripes);
+// `h` is hash_bytes(key): callers hash once for the stripe and the probe.
+uint32_t stripe_of_hash(uint64_t h, uint32_t stripes) {
+  return stripes <= 1 ? 0 : static_cast<uint32_t>(hash_combine(h, 0x9d13) % stripes);
 }
 
 // Exponential backoff: base doubled per attempt, capped.
@@ -176,36 +175,59 @@ class TaskContext : public Context {
   // charged in batch at task end.
   void combine_emit(const GraphEdge& edge, std::string_view key,
                     std::string_view value) {
-    internal::FlowletState& src_state = *job_->flowlets[edge.src];
-    internal::PartialTable* table = src_state.combine_tables.at(edge.id).get();
-    auto* dst_flowlet = static_cast<PartialReduceFlowlet*>(
-        job_->flowlets[edge.dst]->instance.get());
-
+    CombineTarget& target = combine_target(edge);
+    internal::PartialTable& table = *target.table;
+    const uint64_t h = hash_bytes(key);
     const uint32_t si =
-        stripe_of(key, static_cast<uint32_t>(table->stripes.size()));
-    internal::PartialTable::Stripe& stripe = table->stripes[si];
+        stripe_of_hash(h, static_cast<uint32_t>(table.stripes.size()));
+    internal::PartialTable::Stripe& stripe = table.stripes[si];
     bool overflow = false;
     {
       std::lock_guard<std::mutex> lock(stripe.mu);
       // Heterogeneous probe: the record's string_view goes straight into the
       // flat table, no per-fold std::string key.
-      std::string& acc = stripe.acc.find_or_insert(key);
-      dst_flowlet->fold(key, value, acc);
+      std::string& acc = stripe.acc.find_or_insert(key, h);
+      target.flowlet->fold(key, value, acc);
       overflow = stripe.acc.size() > kCombineStripeKeys;
     }
     rt_->combine_folds_c_->inc();
-    // Debt is keyed by the gate pointer itself, so the batch charge at task
-    // end does not re-resolve graph edge -> table -> stripe per entry.
-    combine_gate_debt_[stripe.gate.get()] += 1;
+    ++target.debt[si];
     if (overflow) {
       charge_combine_gates();
       rt_->flush_combine_stripe(*job_, edge.id, si);
     }
   }
 
+  // The combine table and destination flowlet of a combine edge, resolved
+  // once per task, with the folds not yet charged to each stripe's gate.
+  struct CombineTarget {
+    EdgeId edge = 0;
+    internal::PartialTable* table = nullptr;
+    PartialReduceFlowlet* flowlet = nullptr;
+    std::vector<uint64_t> debt;  // indexed by stripe
+  };
+
+  CombineTarget& combine_target(const GraphEdge& edge) {
+    for (CombineTarget& t : combine_targets_) {
+      if (t.edge == edge.id) return t;
+    }
+    CombineTarget& t = combine_targets_.emplace_back();
+    t.edge = edge.id;
+    t.table = job_->flowlets[edge.src]->combine_tables.at(edge.id).get();
+    t.flowlet = static_cast<PartialReduceFlowlet*>(
+        job_->flowlets[edge.dst]->instance.get());
+    t.debt.assign(t.table->stripes.size(), 0);
+    return t;
+  }
+
   void charge_combine_gates() {
-    for (auto& [gate, count] : combine_gate_debt_) gate->charge(count);
-    combine_gate_debt_.clear();
+    for (CombineTarget& t : combine_targets_) {
+      for (uint32_t si = 0; si < t.debt.size(); ++si) {
+        if (t.debt[si] == 0) continue;
+        t.table->stripes[si].gate->charge(t.debt[si]);
+        t.debt[si] = 0;
+      }
+    }
   }
 
   static constexpr size_t kCombineStripeKeys = 4096;
@@ -218,7 +240,7 @@ class TaskContext : public Context {
   std::vector<BinBuilder> builders_;  // indexed by edge * nodes_ + dst
   std::vector<const GraphEdge*> out_edges_;  // per-port cache, lazily filled
   uint64_t records_pending_ = 0;
-  std::map<RateGate*, uint64_t> combine_gate_debt_;
+  std::vector<CombineTarget> combine_targets_;  // one per combine edge used
 };
 
 // ---------------------------------------------------------------------------
@@ -751,12 +773,22 @@ void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs
   internal::PartialTable& table = *fs.table;
   const uint32_t num_stripes = static_cast<uint32_t>(table.stripes.size());
 
-  // Fold record by record under the stripe lock; charge each stripe's
-  // serialized-update gate once per bin (batched cost model). Windowed
-  // flowlets route in-band watermark punctuation around the table (handled
-  // after the loop, outside any stripe lock).
+  // Bin-at-a-time fold. Decode pass: hash each record's key once (the same
+  // hash picks the stripe and probes the table). Windowed flowlets route
+  // in-band watermark punctuation around the table (acted on after the
+  // folds, outside any stripe lock).
+  struct Pending {
+    KvPair record;
+    uint64_t hash;
+    uint32_t stripe;
+  };
+  thread_local std::vector<Pending> pending;
+  thread_local std::vector<uint32_t> per_stripe;  // records per stripe
+  thread_local std::vector<uint32_t> next_slot;   // counting-sort cursor
+  thread_local std::vector<uint32_t> order;       // pending indices by stripe
+  pending.clear();
+  per_stripe.assign(num_stripes, 0);
   KvPair record;
-  std::vector<uint64_t> per_stripe(num_stripes, 0);
   int64_t aligned = INT64_MIN;
   while (bin.next(&record)) {
     if (fs.stream_windowed && pr->is_punctuation(record.key)) {
@@ -764,23 +796,43 @@ void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs
       if (w > aligned) aligned = w;
       continue;
     }
-    const uint32_t si = stripe_of(record.key, num_stripes);
-    internal::PartialTable::Stripe& stripe = table.stripes[si];
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      // Heterogeneous probe: no std::string key materialized per fold.
-      std::string& acc = stripe.acc.find_or_insert(record.key);
-      pr->fold(record.key, record.value, acc);
-    }
+    const uint64_t h = hash_bytes(record.key);
+    const uint32_t si = stripe_of_hash(h, num_stripes);
+    pending.push_back(Pending{record, h, si});
     ++per_stripe[si];
   }
-  uint64_t folds = 0;
+
+  // Fold pass: a stable counting sort buckets the records by stripe, so each
+  // touched stripe lock is taken once per bin and its records fold in
+  // arrival order (per-stripe insertion order is that of a record-at-a-time
+  // fold). Each stripe's serialized-update gate is charged once per bin
+  // (batched cost model).
+  next_slot.resize(num_stripes);
+  uint32_t slot = 0;
+  for (uint32_t si = 0; si < num_stripes; ++si) {
+    next_slot[si] = slot;
+    slot += per_stripe[si];
+  }
+  order.resize(pending.size());
+  for (uint32_t i = 0; i < pending.size(); ++i) {
+    order[next_slot[pending[i].stripe]++] = i;
+  }
+  const uint32_t* next = order.data();
   for (uint32_t si = 0; si < num_stripes; ++si) {
     if (per_stripe[si] == 0) continue;
-    folds += per_stripe[si];
-    table.stripes[si].gate->charge(per_stripe[si]);
+    internal::PartialTable::Stripe& stripe = table.stripes[si];
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (const uint32_t* end = next + per_stripe[si]; next != end; ++next) {
+      const Pending& p = pending[*next];
+      // Heterogeneous probe: no std::string key materialized per fold.
+      std::string& acc = stripe.acc.find_or_insert(p.record.key, p.hash);
+      pr->fold(p.record.key, p.record.value, acc);
+    }
   }
-  folds_c_->add(folds);
+  for (uint32_t si = 0; si < num_stripes; ++si) {
+    if (per_stripe[si] != 0) table.stripes[si].gate->charge(per_stripe[si]);
+  }
+  folds_c_->add(pending.size());
 
   if (!fs.stream_windowed) return;
 

@@ -2,17 +2,41 @@
 
 namespace hamr::stream {
 
+namespace {
+
+// Open-window bytes folded on this thread and not yet added to
+// StreamStats::window_bytes. Every worker thread of a lane shares that one
+// counter, so the folding thread publishes one delta per bin (from
+// take_opened_windows, which the runtime calls after the bin's folds and
+// before the bin counts as done) instead of one atomic add per event.
+struct PendingWindowBytes {
+  std::shared_ptr<StreamStats> stats;  // keeps the owed counter alive
+  int64_t delta = 0;
+
+  void publish() {
+    if (delta != 0) stats->window_bytes.fetch_add(delta, std::memory_order_relaxed);
+    delta = 0;
+  }
+};
+
+thread_local PendingWindowBytes pending_window_bytes;
+
+}  // namespace
+
 void EventWindowFlowlet::fold(std::string_view key, std::string_view value,
                               std::string& acc) {
   const bool fresh = acc.empty();
   const size_t before = acc.size();
   fold_(window_key_user(key), value, acc);
-  StreamStats* stats = options_.stats.get();
-  if (stats != nullptr) {
-    const int64_t delta =
-        static_cast<int64_t>(acc.size()) - static_cast<int64_t>(before) +
-        (fresh ? static_cast<int64_t>(key.size()) : 0);
-    stats->window_bytes.fetch_add(delta, std::memory_order_relaxed);
+  if (options_.stats != nullptr) {
+    PendingWindowBytes& pending = pending_window_bytes;
+    if (pending.stats != options_.stats) {
+      pending.publish();  // another stream's debt, left by a failed bin
+      pending.stats = options_.stats;
+    }
+    pending.delta += static_cast<int64_t>(acc.size()) -
+                     static_cast<int64_t>(before) +
+                     (fresh ? static_cast<int64_t>(key.size()) : 0);
   }
   if (fresh) {
     const int64_t end = window_key_end(key);
@@ -67,6 +91,9 @@ int64_t EventWindowFlowlet::on_punctuation(std::string_view key,
 }
 
 void EventWindowFlowlet::take_opened_windows(std::vector<int64_t>* out) {
+  if (options_.stats != nullptr && pending_window_bytes.stats == options_.stats) {
+    pending_window_bytes.publish();
+  }
   std::lock_guard<std::mutex> lock(mu_);
   out->insert(out->end(), opened_.begin(), opened_.end());
   opened_.clear();

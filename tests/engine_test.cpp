@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "cluster/cluster.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "engine/engine.h"
+#include "engine/flat_table.h"
 #include "engine/loaders.h"
 #include "engine/rate_gate.h"
 #include "obs/event_log.h"
@@ -195,6 +198,67 @@ TEST(Bin, BuilderViewRoundTrip) {
 
 TEST(Bin, MalformedBinThrows) {
   EXPECT_THROW(BinView(std::string_view("\xff")), serde::DecodeError);
+}
+
+namespace {
+
+// Header (epoch 1, edge 0, `count` records) followed by raw record bytes.
+std::string raw_bin(uint64_t count, std::string_view records) {
+  std::string bin("\x01\x00", 2);
+  for (; count >= 0x80; count >>= 7) bin.push_back(static_cast<char>(count | 0x80));
+  bin.push_back(static_cast<char>(count));
+  bin.append(records);
+  return bin;
+}
+
+// Iterates every record the header promises; returns how many it yielded.
+size_t drain_bin(const std::string& bin) {
+  BinView view(bin);
+  KvPair record;
+  size_t n = 0;
+  while (view.next(&record)) ++n;
+  return n;
+}
+
+}  // namespace
+
+TEST(Bin, HostileRecordBytesThrowDecodeError) {
+  using namespace std::string_literals;
+  // Control: the same framing, well formed, including a two-byte length.
+  const std::string long_key(200, 'k');
+  EXPECT_EQ(drain_bin(raw_bin(2, "\x03" "abc\x01v"s + "\xc8\x01"s + long_key +
+                                     "\x00"s)),
+            2u);
+
+  // Key length past the end of the bin (single-byte and two-byte lengths).
+  EXPECT_THROW(drain_bin(raw_bin(1, "\x32" "abc\x01v"s)), serde::DecodeError);
+  EXPECT_THROW(drain_bin(raw_bin(1, "\xc8\x01"s + "abc"s)), serde::DecodeError);
+  // Value length past the end of the bin.
+  EXPECT_THROW(drain_bin(raw_bin(1, "\x03" "abc\x7fxy"s)), serde::DecodeError);
+  EXPECT_THROW(drain_bin(raw_bin(1, "\x03" "abc\x01"s)), serde::DecodeError);
+  // Cut off mid-varint: in a key length, then in a value length.
+  EXPECT_THROW(drain_bin(raw_bin(1, "\xc8"s)), serde::DecodeError);
+  EXPECT_THROW(drain_bin(raw_bin(1, "\x03" "abc\x80\x80"s)), serde::DecodeError);
+  // Overlong varint: eleven continuation bytes never terminate within 64 bits.
+  EXPECT_THROW(drain_bin(raw_bin(1, std::string(11, '\x80') + "\x01"s)),
+               serde::DecodeError);
+  // Header promises more records than the bin holds.
+  EXPECT_THROW(drain_bin(raw_bin(5, "\x01" "a\x01" "b\x01" "c\x01" "d"s)),
+               serde::DecodeError);
+  EXPECT_THROW(drain_bin(raw_bin(1, ""s)), serde::DecodeError);
+  // A truncated valid bin fails at every cut that splits a record.
+  BinBuilder builder(1, 0);
+  builder.add("key", "value");
+  builder.add(long_key, "v");
+  const std::string bin = builder.take();
+  for (size_t cut = bin.size() - 1; cut > 0; --cut) {
+    const std::string head = bin.substr(0, cut);
+    try {
+      drain_bin(head);
+      ADD_FAILURE() << "truncation at " << cut << " decoded";
+    } catch (const serde::DecodeError&) {
+    }
+  }
 }
 
 // --- RateGate --------------------------------------------------------------------
@@ -396,6 +460,104 @@ TEST(Engine, PartialReduceEmitsOnceOnCompletion) {
   const auto got = collected(env.cluster);
   ASSERT_EQ(got.size(), 1u);  // exactly one emission for the single key
   EXPECT_EQ(*got.begin(), "total\t1000");
+}
+
+namespace {
+
+// Order-sensitive fold: appends each value, so an accumulator spells out the
+// order its records were folded in.
+class AppendPartial : public PartialReduceFlowlet {
+ public:
+  void fold(std::string_view, std::string_view value, std::string& acc) override {
+    acc.append(value);
+    acc.push_back(',');
+  }
+};
+
+constexpr uint64_t kInterleavedRecords = 1500;
+constexpr uint64_t kInterleavedKeys = 97;
+
+std::string interleaved_key(uint64_t i) {
+  return "k" + std::to_string(i * 31 % kInterleavedKeys);
+}
+
+// One chunk, one emitter: every record lands in a single bin.
+class InterleavedLoader : public LoaderFlowlet {
+ public:
+  bool load_chunk(const InputSplit&, uint64_t*, Context& ctx) override {
+    for (uint64_t i = 0; i < kInterleavedRecords; ++i) {
+      ctx.emit(0, interleaved_key(i), std::to_string(i));
+    }
+    return false;
+  }
+};
+
+}  // namespace
+
+TEST(Engine, PartialReduceFoldsABinInArrivalOrderPerKey) {
+  // The bin's keys interleave across most of the 64 stripes, with repeats.
+  std::set<uint64_t> stripes;
+  uint64_t bin_bytes = 0;
+  std::map<std::string, std::string> want;  // record-at-a-time fold
+  AppendPartial reference;
+  for (uint64_t i = 0; i < kInterleavedRecords; ++i) {
+    const std::string key = interleaved_key(i);
+    stripes.insert(hash_combine(hash_bytes(key), 0x9d13) %
+                   EngineConfig::fast().partial_reduce_stripes);
+    bin_bytes += key.size() + std::to_string(i).size() + 2;
+    reference.fold(key, std::to_string(i), want[key]);
+  }
+  ASSERT_GT(stripes.size(), 32u);
+  ASSERT_LT(bin_bytes, EngineConfig::fast().bin_size_bytes);
+  ASSERT_EQ(want.size(), kInterleavedKeys);
+
+  Env env(1);
+  FlowletGraph g;
+  auto loader = g.add_loader("l", [] { return std::make_unique<InterleavedLoader>(); });
+  auto partial =
+      g.add_partial_reduce("p", [] { return std::make_unique<AppendPartial>(); });
+  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
+  g.connect(loader, partial);
+  g.connect(partial, sink);
+  const JobResult result = env.engine.run(g, synthetic_inputs(loader, 1, 1));
+  EXPECT_EQ(result.bins_sent, 2u);  // the one folded bin, then the results
+
+  std::multiset<std::string> expected;
+  for (const auto& [key, acc] : want) expected.insert(key + "\t" + acc);
+  const std::multiset<std::string> got = collected(env.cluster);
+  EXPECT_EQ(got, expected);
+  // Arrival order, spelled out: each key's values (record indices) ascend.
+  for (const std::string& line : got) {
+    std::istringstream values(line.substr(line.find('\t') + 1));
+    std::string item;
+    int64_t last = -1;
+    while (std::getline(values, item, ',')) {
+      const int64_t index = std::stoll(item);
+      EXPECT_GT(index, last) << line;
+      last = index;
+    }
+  }
+}
+
+TEST(FlatAccTable, HashedProbeMatchesOneArgumentForm) {
+  FlatAccTable plain;
+  FlatAccTable hashed;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    // 700 distinct keys: several rebuilds, every key seen repeatedly.
+    const std::string key = "key" + std::to_string(i * 7919 % 700);
+    const std::string value = std::to_string(i);
+    plain.find_or_insert(key).append(value);
+    hashed.find_or_insert(key, hash_bytes(key)).append(value);
+  }
+  ASSERT_EQ(plain.size(), 700u);
+  ASSERT_EQ(hashed.size(), plain.size());
+  for (size_t n = 0; n < plain.size(); ++n) {
+    const FlatAccTable::Entry& a = plain.entries()[n];
+    const FlatAccTable::Entry& b = hashed.entries()[n];
+    EXPECT_EQ(a.hash, b.hash);
+    EXPECT_EQ(a.key, b.key);
+    EXPECT_EQ(a.acc, b.acc);
+  }
 }
 
 TEST(Engine, EmitToNodeAndBroadcast) {

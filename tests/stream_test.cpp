@@ -6,6 +6,8 @@
 // drain verb and source backpressure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -477,6 +479,42 @@ TEST(StreamService, BackpressurePausesSourcesUntilDrain) {
   EXPECT_EQ(ticket->wait(std::chrono::seconds(30)), service::JobStatus::kDone);
   EXPECT_GT(ticket->result().metrics.counter("stream.backpressure_stalls"),
             0u);
+}
+
+TEST(StreamService, WindowBytesNeverNegativeAndZeroAfterBoundedReplay) {
+  // window_bytes feeds the backpressure probe: folds publish their growth
+  // once per bin, closes subtract what they drain. Polled throughout a
+  // bounded replay it never dips below zero, and every byte is gone at the
+  // end.
+  ServiceEnv env(/*nodes=*/2, /*lanes=*/1);
+  GeneratorConfig gen;
+  gen.total_events = 60'000;
+  gen.period_us = 10;
+  gen.jitter_us = 50;
+  gen.seed = 5;
+  StreamSpec spec;  // duration zero: bounded replay
+  auto ticket = env.streams.start(
+      count_pipeline(gen, WindowSpec{.size_us = 20'000}, "wb/out"), spec);
+  ASSERT_NE(ticket, nullptr);
+  int64_t lowest = 0;
+  int64_t highest = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  StreamTicket::Progress p = ticket->poll();
+  while ((p.status == service::JobStatus::kQueued ||
+          p.status == service::JobStatus::kRunning) &&
+         std::chrono::steady_clock::now() < deadline) {
+    lowest = std::min(lowest, p.window_bytes);
+    highest = std::max(highest, p.window_bytes);
+    std::this_thread::yield();
+    p = ticket->poll();
+  }
+  EXPECT_EQ(ticket->wait(std::chrono::seconds(30)), service::JobStatus::kDone);
+  p = ticket->poll();
+  EXPECT_GE(lowest, 0);
+  EXPECT_EQ(p.window_bytes, 0);
+  EXPECT_GT(p.windows_emitted, 0u);
+  EXPECT_EQ(p.events_ingested, 2 * gen.total_events);
+  EXPECT_GT(highest, 0);  // the polls did see windows open mid-replay
 }
 
 TEST(StreamRpc, DrainVerbWindsDownARemoteStream) {
