@@ -54,7 +54,9 @@ double median(std::vector<double> v) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv,
               std::string("ablation_iteration - PageRank iteration data path "
-                          "(A5 + dataset cache)\n") + kUsage);
+                          "(A5 + dataset cache)\n") +
+                  kUsage +
+                  "  --reps=N             repetitions per variant (default 3)\n");
   const uint32_t reps =
       static_cast<uint32_t>(flags.get_double("reps", 3));
   BenchSetup setup = BenchSetup::from_flags(flags);

@@ -13,7 +13,6 @@
 #include "engine/flat_table.h"
 #include "engine/runtime.h"
 #include "serde/batch.h"
-#include "serde/codec.h"
 #include "serde/serde.h"
 
 using namespace hamr;
@@ -81,19 +80,6 @@ static void BM_BinBuildAndScan(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 512 * (3 + value.size()));
 }
 BENCHMARK(BM_BinBuildAndScan)->Arg(16)->Arg(256);
-
-static void BM_TypedVectorRoundTrip(benchmark::State& state) {
-  std::vector<std::pair<uint32_t, double>> vec;
-  for (int i = 0; i < 256; ++i) vec.emplace_back(i * 7, i * 0.5);
-  for (auto _ : state) {
-    const std::string bytes = serde::encode_to_string(vec);
-    auto decoded =
-        serde::decode_from<std::vector<std::pair<uint32_t, double>>>(bytes);
-    benchmark::DoNotOptimize(decoded.size());
-  }
-  state.SetItemsProcessed(state.iterations() * vec.size());
-}
-BENCHMARK(BM_TypedVectorRoundTrip);
 
 // --- combine accumulator layouts ---------------------------------------------
 //

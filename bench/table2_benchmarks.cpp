@@ -5,7 +5,7 @@
 
 #include "apps/wordcount.h"
 #include "bench/harness.h"
-#include "ir/ir.h"
+#include "engine/graph.h"
 #include "ir/passes.h"
 
 using namespace hamr;
@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
     // fuse_map_combine folds the splitter into the loader below it.
     const ir::Graph built = apps::wordcount::build_ir(/*combine=*/true);
     std::printf("WordCount IR, as built by the front-end:\n%s\n",
-                ir::dump(built).c_str());
+                engine::dump(built).c_str());
     const ir::Graph optimized = ir::optimize(built);
     std::printf("WordCount IR, after the standard pass pipeline:\n%s",
-                ir::dump(optimized).c_str());
+                engine::dump(optimized).c_str());
     return 0;
   }
   const BenchSetup setup = BenchSetup::from_flags(flags);

@@ -302,26 +302,27 @@ class AggReducer : public mapreduce::Reducer {
   double base_;
 };
 
-// Appends the shared iteration tail to an IR chain: contributions shuffle
+// Appends the shared iteration tail to a chain's graph: contributions shuffle
 // into MergeRed, whose per-key |delta| records feed ContMap over a local
 // edge (the driver maxes across all node files, so locality is free) - the
 // fuse_maps pass collapses the pair into one reduce-side task body.
-void append_merge_tail(ir::Graph& graph, ir::NodeId head, const Params& params) {
+void append_merge_tail(engine::FlowletGraph& graph, engine::FlowletId head,
+                       const Params& params) {
   const auto merge = graph.add_reduce(
       "MergeRed",
       [&params] { return std::make_unique<MergeRed>(params.num_pages); },
       {"page", "contrib8"}, {"page", "delta"});
-  graph.node(merge).effect = true;  // stores updated ranks in the shared KV
+  graph.flowlet(merge).effect = true;  // stores updated ranks in the shared KV
   const auto cont = graph.add_map(
       "ContMap", [] { return std::make_unique<ContMap>(); }, {"page", "delta"});
-  graph.node(cont).effect = true;  // writes out/pagerank/delta_node<id>
+  graph.flowlet(cont).effect = true;  // writes out/pagerank/delta_node<id>
   graph.connect(head, merge);
-  graph.connect(merge, cont, ir::local_attrs());
+  graph.connect(merge, cont, engine::local_edge());
 }
 
 // Optimizes (operator fusion et al.) and lowers an iteration chain, folding
-// any splits already attached to IR source nodes into the job inputs.
-engine::JobResult run_chain(BenchEnv& env, ir::Graph graph) {
+// any splits already attached to its loaders into the job inputs.
+engine::JobResult run_chain(BenchEnv& env, engine::FlowletGraph graph) {
   const ir::Lowered lowered = ir::lower(ir::optimize(std::move(graph)));
   return env.engine->run(lowered.graph, lowered.inputs);
 }
@@ -388,8 +389,8 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
   std::shared_ptr<const cache::Dataset> adj =
       iteration == 0 ? nullptr : dcache.pin(kAdjDataset);
 
-  ir::Graph graph;
-  ir::NodeId head;
+  engine::FlowletGraph graph;
+  engine::FlowletId head;
   std::shared_ptr<cache::DatasetWriter> writer;
   if (!adj) {
     // Cold path: parse the edge file, build adjacency, and republish it for
@@ -398,10 +399,10 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
     cache::PublishOptions options;
     options.key_partitioned = true;
     writer = dcache.begin(kAdjDataset, options);
-    const auto loader = graph.add_source(
+    const auto loader = graph.add_loader(
         "EdgeFileLoader", [] { return std::make_unique<engine::TextLoader>(); },
         {"", "edge-line"});
-    graph.node(loader).splits = input.splits;
+    graph.flowlet(loader).splits = input.splits;
     const auto parse = graph.add_map(
         "EdgeMap", [] { return std::make_unique<EdgeMap>(); },
         {"", "edge-line"}, {"page", "page"});
@@ -411,19 +412,19 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
           return std::make_unique<HashJoinRed>(params.num_pages, writer);
         },
         {"page", "page"}, {"page", "contrib8"});
-    graph.node(join).effect = true;  // publishes adjacency to the cache
-    graph.connect(loader, parse, ir::local_attrs());
+    graph.flowlet(join).effect = true;  // publishes adjacency to the cache
+    graph.connect(loader, parse, engine::local_edge());
     graph.connect(parse, join);
     head = join;
   } else {
-    const auto loader = graph.add_source(
+    const auto loader = graph.add_loader(
         "AdjCacheScan",
         [adj] { return std::make_unique<cache::CachedScanLoader>(adj); },
         {"page", "adj"});
     {
       engine::JobInputs scan_inputs;
       cache::add_scan_splits(&scan_inputs, loader, *adj);
-      graph.node(loader).splits = scan_inputs.splits.at(loader);
+      graph.flowlet(loader).splits = scan_inputs.splits.at(loader);
     }
     const auto contrib = graph.add_map(
         "ContribMap",
@@ -431,11 +432,7 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
         {"page", "adj"}, {"page", "contrib8"});
     // Key-partitioned dataset + per-shard placement => shuffle-free edge,
     // which is exactly what lets fuse_maps collapse scan+contrib.
-    const engine::EdgeOptions aligned = cache::aligned_edge(*adj);
-    ir::EdgeAttrs attrs;
-    attrs.local = aligned.local;
-    attrs.partitioner = aligned.partitioner;
-    graph.connect(loader, contrib, std::move(attrs));
+    graph.connect(loader, contrib, cache::aligned_edge(*adj));
     head = contrib;
   }
   append_merge_tail(graph, head, params);
@@ -451,13 +448,13 @@ engine::JobResult run_hamr_iteration(BenchEnv& env, const StagedInput& input,
                                      const Params& params, uint32_t iteration,
                                      bool reload) {
   const uint32_t iter = iteration;
-  ir::Graph graph;
-  ir::NodeId head;
+  engine::FlowletGraph graph;
+  engine::FlowletId head;
   if (iter == 0 || reload) {
-    const auto loader = graph.add_source(
+    const auto loader = graph.add_loader(
         "EdgeFileLoader", [] { return std::make_unique<engine::TextLoader>(); },
         {"", "edge-line"});
-    graph.node(loader).splits = input.splits;
+    graph.flowlet(loader).splits = input.splits;
     const auto parse = graph.add_map(
         "EdgeMap", [] { return std::make_unique<EdgeMap>(); },
         {"", "edge-line"}, {"page", "page"});
@@ -465,12 +462,12 @@ engine::JobResult run_hamr_iteration(BenchEnv& env, const StagedInput& input,
         "HashJoinRed",
         [&params] { return std::make_unique<HashJoinRed>(params.num_pages); },
         {"page", "page"}, {"page", "contrib8"});
-    graph.node(join).effect = true;  // stores adjacency in the shared KV
-    graph.connect(loader, parse, ir::local_attrs());
+    graph.flowlet(join).effect = true;  // stores adjacency in the shared KV
+    graph.connect(loader, parse, engine::local_edge());
     graph.connect(parse, join);
     head = join;
   } else {
-    const auto loader = graph.add_source(
+    const auto loader = graph.add_loader(
         "EdgeLoader",
         [&params] { return std::make_unique<EdgeLoader>(params.num_pages); },
         {"page", "contrib8"});
@@ -478,7 +475,7 @@ engine::JobResult run_hamr_iteration(BenchEnv& env, const StagedInput& input,
       engine::InputSplit split;
       split.path = "pr/adj";
       split.preferred_node = n;
-      graph.node(loader).splits.push_back(std::move(split));
+      graph.flowlet(loader).splits.push_back(std::move(split));
     }
     head = loader;
   }

@@ -102,27 +102,27 @@ class WcReducer : public mapreduce::Reducer {
 
 }  // namespace
 
-ir::Graph build_ir(bool combine, bool use_full_reduce) {
-  ir::Graph graph;
-  const auto loader = graph.add_source(
+engine::FlowletGraph build_ir(bool combine, bool use_full_reduce) {
+  engine::FlowletGraph graph;
+  const auto loader = graph.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); },
       {"", "line"});
   const auto split = graph.add_map(
       "Splitter", [] { return std::make_unique<Splitter>(); }, {"", "line"},
       {"word", "count"});
-  graph.connect(loader, split, ir::local_attrs());
+  graph.connect(loader, split, engine::local_edge());
   if (use_full_reduce) {
     const auto count = graph.add_reduce(
         "CountReducer", [] { return std::make_unique<CountReducer>(); },
         {"word", "count"});
-    graph.node(count).effect = true;  // writes out/wordcount/ in finish()
+    graph.flowlet(count).effect = true;  // writes out/wordcount/ in finish()
     graph.connect(split, count);
   } else {
-    const auto count = graph.add_combine(
+    const auto count = graph.add_partial_reduce(
         "Counter", [] { return std::make_unique<Counter>(); },
         {"word", "count"});
-    graph.node(count).effect = true;
-    graph.node(count).combinable = combine;
+    graph.flowlet(count).effect = true;
+    graph.flowlet(count).combinable = combine;
     graph.connect(split, count);
   }
   return graph;
@@ -130,22 +130,17 @@ ir::Graph build_ir(bool combine, bool use_full_reduce) {
 
 engine::FlowletGraph build_graph(uint32_t* loader_out, bool combine,
                                  bool use_full_reduce) {
-  ir::Lowered lowered = ir::lower(
-      ir::PassPipeline::no_fusion().run(build_ir(combine, use_full_reduce)));
-  *loader_out = lowered.flowlet_of[0];
-  return std::move(lowered.graph);
+  *loader_out = 0;
+  return ir::PassPipeline::no_fusion().run(build_ir(combine, use_full_reduce));
 }
 
 ir::Lowered build_fused(uint32_t* loader_out, bool combine,
                         bool use_full_reduce) {
-  const ir::Graph optimized =
-      ir::optimize(build_ir(combine, use_full_reduce));
-  ir::Lowered lowered = ir::lower(optimized);
+  ir::Lowered lowered =
+      ir::lower(ir::optimize(build_ir(combine, use_full_reduce)));
   *loader_out = 0;
-  for (const ir::Node& node : optimized.nodes) {
-    if (node.kind == ir::NodeKind::kSource) {
-      *loader_out = lowered.flowlet_of[node.id];
-    }
+  for (const engine::GraphNode& node : lowered.graph.flowlets) {
+    if (node.kind == engine::FlowletKind::kLoader) *loader_out = node.id;
   }
   return lowered;
 }

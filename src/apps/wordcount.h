@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "apps/common.h"
-#include "ir/ir.h"
+#include "engine/graph.h"
 #include "ir/lower.h"
 
 namespace hamr::apps::wordcount {
@@ -22,14 +22,15 @@ struct RunInfo {
   mapreduce::MrResult baseline_result;  // baseline runs only
 };
 
-// The job as IR: source TextLoader -> map Splitter -> combine Counter (or
-// reduce CountReducer under ablation A2). `combine` opts the Counter into
-// sender-side combining (Table 3) - the place_combiner pass turns it into
-// the combine edge.
-ir::Graph build_ir(bool combine = false, bool use_full_reduce = false);
+// The unoptimized job: loader TextLoader -> map Splitter -> partial reduce
+// Counter (or reduce CountReducer under ablation A2). `combine` opts the
+// Counter into sender-side combining (Table 3) - the place_combiner pass
+// turns it into the combine edge.
+engine::FlowletGraph build_ir(bool combine = false,
+                              bool use_full_reduce = false);
 
-// Builds the HAMR flowlet graph through ir::lower with the shape-preserving
-// pipeline (no fusion): flowlet ids stay loader=0, splitter=1, count=2,
+// Builds the HAMR flowlet graph through the shape-preserving pass pipeline
+// (no fusion): flowlet ids stay loader=0, splitter=1, count=2,
 // which the chaos suite's pinned crash points rely on. Exposed for
 // tests/ablations that want to tweak it.
 engine::FlowletGraph build_graph(uint32_t* loader_out, bool combine = false,

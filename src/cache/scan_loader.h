@@ -61,7 +61,7 @@ engine::EdgeOptions aligned_edge(const Dataset& dataset);
 // after routing, exactly once per emitted record (task crashes are injected
 // before flowlet code runs, and the reliable channel dedups delivered
 // bins), so the published dataset matches the delivered stream. Not valid
-// on combine edges (validate() rejects the combination: combined records
+// on combine edges (verify() rejects the combination: combined records
 // are folded before routing, so there is no per-record destination).
 engine::EdgeOptions publish_tap(engine::EdgeOptions base,
                                 std::shared_ptr<DatasetWriter> writer);

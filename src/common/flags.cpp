@@ -1,12 +1,37 @@
 #include "common/flags.h"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string_view>
 
 namespace hamr {
 
+namespace {
+
+// Every "--name" token in the usage text.
+std::set<std::string, std::less<>> documented_flags(std::string_view usage) {
+  std::set<std::string, std::less<>> names;
+  for (size_t pos = usage.find("--"); pos != std::string_view::npos;
+       pos = usage.find("--", pos)) {
+    pos += 2;
+    size_t end = pos;
+    while (end < usage.size() &&
+           (std::isalnum(static_cast<unsigned char>(usage[end])) ||
+            usage[end] == '_')) {
+      ++end;
+    }
+    if (end > pos) names.emplace(usage.substr(pos, end - pos));
+    pos = end;
+  }
+  return names;
+}
+
+}  // namespace
+
 Flags::Flags(int argc, char** argv, const std::string& usage) {
+  const auto known = documented_flags(usage);
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -20,6 +45,10 @@ Flags::Flags(int argc, char** argv, const std::string& usage) {
     }
     arg.remove_prefix(2);
     const size_t eq = arg.find('=');
+    if (known.count(arg.substr(0, eq)) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n%s\n", argv[i], usage.c_str());
+      std::exit(2);
+    }
     if (eq != std::string_view::npos) {
       values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
       continue;

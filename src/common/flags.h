@@ -1,8 +1,10 @@
 // Tiny command-line flag parser for the bench and example binaries.
 //
-// Supports --name=value and --name value forms plus boolean --name.
-// Unknown flags abort with the usage string so typos in bench sweeps fail
-// loudly instead of silently benchmarking the default configuration.
+// Supports --name=value and --name value forms plus boolean --name. The
+// usage string is also the flag list: a flag is known when its "--name"
+// token appears in the usage. Unknown flags abort with the usage string so
+// typos in bench sweeps fail loudly instead of silently benchmarking the
+// default configuration.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +15,9 @@ namespace hamr {
 
 class Flags {
  public:
-  // Parses argv. On "--help" prints `usage` and exits 0; on unknown flag
-  // prints an error + usage and exits 2.
-  Flags(int argc, char** argv, const std::string& usage = "");
+  // Parses argv. On "--help" prints `usage` and exits 0; on a flag whose
+  // "--name" does not appear in `usage` prints an error + usage and exits 2.
+  Flags(int argc, char** argv, const std::string& usage);
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 

@@ -79,7 +79,7 @@ class RunGuard {
 
 JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& inputs,
                                Duration stream_duration, Duration window_every) {
-  graph.validate();
+  verify(graph);
   {
     std::lock_guard<std::mutex> lock(done_mu_);
     if (job_running_) throw std::logic_error("engine runs one job at a time");

@@ -115,7 +115,7 @@ void FusedPartialReduce::finish(engine::Context& ctx) {
   consumer_->finish(ctx);
 }
 
-engine::FlowletFactory fuse_factories(NodeKind producer_kind,
+engine::FlowletFactory fuse_factories(engine::FlowletKind producer_kind,
                                       engine::FlowletFactory producer,
                                       engine::FlowletFactory consumer) {
   return [producer_kind, producer = std::move(producer),
@@ -123,30 +123,29 @@ engine::FlowletFactory fuse_factories(NodeKind producer_kind,
     auto consumer_map = std::unique_ptr<engine::MapFlowlet>(
         static_cast<engine::MapFlowlet*>(consumer().release()));
     switch (producer_kind) {
-      case NodeKind::kSource:
+      case engine::FlowletKind::kLoader:
         return std::make_unique<FusedLoader>(
             std::unique_ptr<engine::LoaderFlowlet>(
                 static_cast<engine::LoaderFlowlet*>(producer().release())),
             std::move(consumer_map));
-      case NodeKind::kMap:
-      case NodeKind::kSink:
+      case engine::FlowletKind::kMap:
         return std::make_unique<FusedMap>(
             std::unique_ptr<engine::MapFlowlet>(
                 static_cast<engine::MapFlowlet*>(producer().release())),
             std::move(consumer_map));
-      case NodeKind::kReduce:
+      case engine::FlowletKind::kReduce:
         return std::make_unique<FusedReduce>(
             std::unique_ptr<engine::ReduceFlowlet>(
                 static_cast<engine::ReduceFlowlet*>(producer().release())),
             std::move(consumer_map));
-      case NodeKind::kCombine:
+      case engine::FlowletKind::kPartialReduce:
         return std::make_unique<FusedPartialReduce>(
             std::unique_ptr<engine::PartialReduceFlowlet>(
                 static_cast<engine::PartialReduceFlowlet*>(
                     producer().release())),
             std::move(consumer_map));
     }
-    throw std::logic_error("ir: fuse_factories on unknown node kind");
+    throw std::logic_error("ir: fuse_factories on unknown flowlet kind");
   };
 }
 

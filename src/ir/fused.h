@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "engine/flowlet.h"
-#include "ir/ir.h"
 
 namespace hamr::ir {
 
@@ -134,11 +133,10 @@ class FusedPartialReduce : public engine::PartialReduceFlowlet {
   std::unique_ptr<engine::MapFlowlet> consumer_;
 };
 
-// Factory for the fused flowlet replacing producer (of IR kind
-// `producer_kind`) + consumer map. The consumer factory must build a
-// MapFlowlet (kMap/kSink lower to maps); the producer factory must build the
-// engine kind matching `producer_kind`.
-engine::FlowletFactory fuse_factories(NodeKind producer_kind,
+// Factory for the fused flowlet replacing producer (of kind `producer_kind`)
+// + consumer map. The consumer factory must build a MapFlowlet; the producer
+// factory must build the flowlet kind `producer_kind` names.
+engine::FlowletFactory fuse_factories(engine::FlowletKind producer_kind,
                                       engine::FlowletFactory producer,
                                       engine::FlowletFactory consumer);
 

@@ -2,47 +2,16 @@
 
 namespace hamr::ir {
 
-Lowered lower(const Graph& graph) {
-  verify(graph);
+Lowered lower(engine::FlowletGraph graph) {
+  engine::verify(graph);
   Lowered lowered;
-  lowered.flowlet_of.reserve(graph.nodes.size());
-  for (const Node& node : graph.nodes) {
-    engine::FlowletId id = 0;
-    switch (node.kind) {
-      case NodeKind::kSource:
-        id = lowered.graph.add_loader(node.name, node.factory);
-        break;
-      case NodeKind::kMap:
-      case NodeKind::kSink:
-        id = lowered.graph.add_map(node.name, node.factory);
-        break;
-      case NodeKind::kCombine:
-        id = lowered.graph.add_partial_reduce(node.name, node.factory);
-        break;
-      case NodeKind::kReduce:
-        id = lowered.graph.add_reduce(node.name, node.factory);
-        break;
+  for (engine::GraphNode& node : graph.flowlets) {
+    for (engine::InputSplit& split : node.splits) {
+      lowered.inputs.add(node.id, std::move(split));
     }
-    lowered.flowlet_of.push_back(id);
-    for (const engine::InputSplit& split : node.splits) {
-      lowered.inputs.add(id, split);
-    }
+    node.splits.clear();
   }
-  // Per-node out-edge order defines the emit ports; engine connect() numbers
-  // ports in call order, so connect each node's out-edges consecutively.
-  for (const Node& node : graph.nodes) {
-    for (EdgeId e : node.out_edges) {
-      const Edge& edge = graph.edge(e);
-      engine::EdgeOptions options;
-      options.combine = edge.attrs.combine;
-      options.local = edge.attrs.local;
-      options.partitioner = edge.attrs.partitioner;
-      options.tap = edge.attrs.tap;
-      lowered.graph.connect(lowered.flowlet_of[edge.src],
-                            lowered.flowlet_of[edge.dst], std::move(options));
-    }
-  }
-  lowered.graph.validate();
+  lowered.graph = std::move(graph);
   return lowered;
 }
 

@@ -1,30 +1,23 @@
-// Backend: lowers a verified ir::Graph onto the engine's execution layer.
+// Backend: hands a verified graph to the engine's execution layer.
 //
-// Node kinds map onto engine flowlet kinds (source->loader, map/sink->map,
-// combine->partial reduce, reduce->reduce); edges copy their attributes
-// into engine::EdgeOptions field for field; per-source InputSplits populate
-// the JobInputs. Engine flowlet ids are assigned in IR node-id order and
-// out-ports in IR out-edge order, so an unfused lowering reproduces exactly
-// the graph (and the flowlet ids) the front-end would have hand-built.
+// The passes rewrite the same engine::FlowletGraph the engine runs, so
+// lowering is only verify() plus moving each loader's InputSplits off the
+// graph into the JobInputs. Flowlet ids and out-ports are untouched: an
+// unfused graph runs with exactly the ids the front-end built.
 #pragma once
-
-#include <vector>
 
 #include "engine/graph.h"
 #include "engine/split.h"
-#include "ir/ir.h"
 
 namespace hamr::ir {
 
 struct Lowered {
   engine::FlowletGraph graph;
   engine::JobInputs inputs;
-  // IR NodeId -> engine FlowletId (identity today, but callers index through
-  // it so the assignment scheme stays an implementation detail).
-  std::vector<engine::FlowletId> flowlet_of;
 };
 
-// Verifies, then lowers. Throws std::invalid_argument on a malformed graph.
-Lowered lower(const Graph& graph);
+// Verifies, then moves splits into the inputs. Throws std::invalid_argument
+// on a malformed graph.
+Lowered lower(engine::FlowletGraph graph);
 
 }  // namespace hamr::ir

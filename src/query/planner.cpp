@@ -85,17 +85,17 @@ StagedTables stage_tables(cluster::Cluster& cluster, const Catalog& catalog,
 
 namespace {
 
-// Recursive lowering context: the IR graph under construction plus the
+// Recursive lowering context: the graph under construction plus the
 // staged-table map for split generation.
 struct LowerCtx {
   const Catalog& catalog;
   const StagedTables& staged;
-  ir::Graph graph;
+  engine::FlowletGraph graph;
 };
 
 // Type tag of a producer's hand-off, from how its consumer wants rows: the
-// IR verifier then proves every stage receives the encoding it decodes.
-ir::TypeTag tag_of(const EmitSpec& emit) {
+// verifier then proves every stage receives the encoding it decodes.
+engine::TypeTag tag_of(const EmitSpec& emit) {
   switch (emit.mode) {
     case EmitSpec::Mode::kLocalRow:
       return {"", "row"};
@@ -107,16 +107,16 @@ ir::TypeTag tag_of(const EmitSpec& emit) {
   return {};
 }
 
-ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx);
+engine::FlowletId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx);
 
 Schema schema_of(const Plan& plan, const Catalog& catalog) {
   return output_schema(plan, catalog);
 }
 
-ir::NodeId lower_scan(const Plan& base, EmitSpec emit, LowerCtx& ctx) {
+engine::FlowletId lower_scan(const Plan& base, EmitSpec emit, LowerCtx& ctx) {
   auto compiled = std::make_shared<ScanCompiled>();
   compiled->table_schema = ctx.catalog.at(base.table).schema;
-  const ir::TypeTag out = tag_of(emit);
+  const engine::TypeTag out = tag_of(emit);
   compiled->emit = std::move(emit);
 
   // Cache-resident staging: scan the pinned dataset in place. Placement is
@@ -124,16 +124,16 @@ ir::NodeId lower_scan(const Plan& base, EmitSpec emit, LowerCtx& ctx) {
   // table moves zero bytes between queries of a session.
   auto cached = ctx.staged.cached.find(base.table);
   if (cached != ctx.staged.cached.end()) {
-    const ir::NodeId loader = ctx.graph.add_source(
+    const engine::FlowletId loader = ctx.graph.add_loader(
         "QueryCachedScan(" + base.table + ")",
         make_cached_scan_loader(compiled, cached->second), out);
     engine::JobInputs scan_inputs;
     cache::add_scan_splits(&scan_inputs, loader, *cached->second);
-    ctx.graph.node(loader).splits = std::move(scan_inputs.splits.at(loader));
+    ctx.graph.flowlet(loader).splits = std::move(scan_inputs.splits.at(loader));
     return loader;
   }
 
-  const ir::NodeId loader = ctx.graph.add_source(
+  const engine::FlowletId loader = ctx.graph.add_loader(
       "QueryScan(" + base.table + ")", make_scan_loader(compiled), out);
   const auto& bytes = ctx.staged.shard_bytes.at(base.table);
   for (uint32_t n = 0; n < ctx.staged.nodes; ++n) {
@@ -142,19 +142,19 @@ ir::NodeId lower_scan(const Plan& base, EmitSpec emit, LowerCtx& ctx) {
     split.offset = 0;
     split.length = bytes[n];
     split.preferred_node = n;
-    ctx.graph.node(loader).splits.push_back(std::move(split));
+    ctx.graph.flowlet(loader).splits.push_back(std::move(split));
   }
   return loader;
 }
 
-ir::NodeId lower_join(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
+engine::FlowletId lower_join(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   auto compiled = std::make_shared<JoinCompiled>();
   compiled->left_schema = schema_of(*plan.child, ctx.catalog);
   compiled->right_schema = schema_of(*plan.right, ctx.catalog);
-  const ir::TypeTag out = tag_of(emit);
+  const engine::TypeTag out = tag_of(emit);
   compiled->emit = std::move(emit);
 
-  const ir::NodeId join =
+  const engine::FlowletId join =
       ctx.graph.add_reduce("QueryHashJoin", make_join(compiled),
                            {"join-key", "side-row"}, out);
 
@@ -163,7 +163,7 @@ ir::NodeId lower_join(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   left_emit.schema = compiled->left_schema;
   left_emit.key_cols = plan.left_keys;
   left_emit.side = 0;
-  const ir::NodeId left = lower_node(*plan.child, left_emit, ctx);
+  const engine::FlowletId left = lower_node(*plan.child, left_emit, ctx);
   ctx.graph.connect(left, join);
 
   EmitSpec right_emit;
@@ -171,12 +171,12 @@ ir::NodeId lower_join(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   right_emit.schema = compiled->right_schema;
   right_emit.key_cols = plan.right_keys;
   right_emit.side = 1;
-  const ir::NodeId right = lower_node(*plan.right, right_emit, ctx);
+  const engine::FlowletId right = lower_node(*plan.right, right_emit, ctx);
   ctx.graph.connect(right, join);
   return join;
 }
 
-ir::NodeId lower_group_by(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
+engine::FlowletId lower_group_by(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   auto g = std::make_shared<GroupCompiled>();
   g->key_cols = plan.keys;
   g->aggs = plan.aggs;
@@ -184,25 +184,25 @@ ir::NodeId lower_group_by(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   g->out_schema = schema_of(plan, ctx.catalog);
   for (uint32_t k : plan.keys) g->key_types.push_back(g->in_schema.cols[k].type);
 
-  const ir::TypeTag out = tag_of(emit);
-  const ir::NodeId group =
-      ctx.graph.add_combine("QueryGroupBy", make_group_by(g, std::move(emit)),
+  const engine::TypeTag out = tag_of(emit);
+  const engine::FlowletId group =
+      ctx.graph.add_partial_reduce("QueryGroupBy", make_group_by(g, std::move(emit)),
                             {"group-key", "agg-state"}, out);
   // Sender-side combining (placed by the place_combiner pass): single-row
   // states merge into per-key partials before bins are packed, so hot keys
   // cross the wire pre-aggregated.
-  ctx.graph.node(group).combinable = true;
+  ctx.graph.flowlet(group).combinable = true;
 
   EmitSpec child_emit;
   child_emit.mode = EmitSpec::Mode::kGroupState;
   child_emit.schema = g->in_schema;
   child_emit.group = g;
-  const ir::NodeId child = lower_node(*plan.child, child_emit, ctx);
+  const engine::FlowletId child = lower_node(*plan.child, child_emit, ctx);
   ctx.graph.connect(child, group);
   return group;
 }
 
-ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
+engine::FlowletId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   // Peel the filter/project chain above the next shuffle (or scan) into the
   // emit spec: the steps run inside whatever stage produces the chain's
   // input rows, on each row before it is encoded for the consumer.
@@ -236,22 +236,24 @@ ir::NodeId lower_node(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
 
 }  // namespace
 
-ir::Graph lower_ir(const Plan& plan, const Catalog& catalog,
-                   const StagedTables& staged, const std::string& tag,
-                   std::string* out_prefix_out) {
+engine::FlowletGraph lower_ir(const Plan& plan, const Catalog& catalog,
+                              const StagedTables& staged,
+                              const std::string& tag,
+                              std::string* out_prefix_out) {
   output_schema(plan, catalog);  // validates the tree
   const std::string out_prefix = "out/query/" + tag + "/";
   if (out_prefix_out != nullptr) *out_prefix_out = out_prefix;
 
   LowerCtx ctx{catalog, staged, {}};
-  const ir::NodeId sink =
-      ctx.graph.add_sink("QuerySink", make_sink(out_prefix), {"", "row"});
+  const engine::FlowletId sink =
+      ctx.graph.add_map("QuerySink", make_sink(out_prefix), {"", "row"});
+  ctx.graph.flowlet(sink).effect = true;
 
   EmitSpec top_emit;
   top_emit.mode = EmitSpec::Mode::kLocalRow;
   top_emit.schema = output_schema(plan, catalog);
-  const ir::NodeId top = lower_node(plan, top_emit, ctx);
-  ctx.graph.connect(top, sink, ir::local_attrs());
+  const engine::FlowletId top = lower_node(plan, top_emit, ctx);
+  ctx.graph.connect(top, sink, engine::local_edge());
   return ctx.graph;
 }
 
@@ -260,9 +262,8 @@ Lowered lower(const Plan& plan, const Catalog& catalog,
   Lowered lowered;
   lowered.out_schema = output_schema(plan, catalog);  // validates the tree
 
-  ir::Graph graph =
-      ir::optimize(lower_ir(plan, catalog, staged, tag, &lowered.out_prefix));
-  ir::Lowered backend = ir::lower(graph);
+  ir::Lowered backend = ir::lower(
+      ir::optimize(lower_ir(plan, catalog, staged, tag, &lowered.out_prefix)));
   lowered.graph = std::move(backend.graph);
   lowered.inputs = std::move(backend.inputs);
   return lowered;

@@ -29,7 +29,7 @@
 #include "cache/dataset_cache.h"
 #include "cluster/cluster.h"
 #include "engine/engine.h"
-#include "ir/ir.h"
+#include "engine/graph.h"
 #include "query/plan.h"
 #include "service/job_service.h"
 
@@ -71,13 +71,15 @@ struct Lowered {
   std::string out_prefix;  // "out/query/<tag>/"
 };
 
-// Compiles the plan tree into flowlet IR (throws std::invalid_argument like
-// output_schema). The graph is un-optimized: callers inspect/dump it, then
-// run it through ir::optimize + ir::lower - which is exactly what lower()
-// does. `out_prefix_out` receives the sink's output prefix when non-null.
-ir::Graph lower_ir(const Plan& plan, const Catalog& catalog,
-                   const StagedTables& staged, const std::string& tag,
-                   std::string* out_prefix_out = nullptr);
+// Compiles the plan tree into a flowlet graph (throws std::invalid_argument
+// like output_schema). The graph is un-optimized: callers inspect/dump it,
+// then run it through ir::optimize + ir::lower - which is exactly what
+// lower() does. `out_prefix_out` receives the sink's output prefix when
+// non-null.
+engine::FlowletGraph lower_ir(const Plan& plan, const Catalog& catalog,
+                              const StagedTables& staged,
+                              const std::string& tag,
+                              std::string* out_prefix_out = nullptr);
 
 // Validates the plan (throws std::invalid_argument like output_schema) and
 // compiles it against tables previously staged under the same catalog:

@@ -84,8 +84,8 @@ struct JobSpec {
 struct JobWork {
   engine::FlowletGraph graph;
   engine::JobInputs inputs;
-  Duration stream_duration = Duration::zero();  // > 0 = streaming job
-  Duration window_every = Duration::zero();
+  // > 0 = streaming job; windows close on event time (no wall-clock flush).
+  Duration stream_duration = Duration::zero();
   std::function<std::string(engine::Engine&)> collect;
 
   // Cross-job dataset cache hooks (src/cache/, DESIGN.md §15). `pins` are

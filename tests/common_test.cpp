@@ -1,100 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <thread>
 
 #include "common/clock.h"
 #include "common/flags.h"
 #include "common/hash.h"
 #include "common/metrics.h"
-#include "common/queue.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 
 using namespace hamr;
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop(), i);
-}
-
-TEST(BoundedQueue, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_TRUE(q.full());
-  q.pop();
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(BoundedQueue, CloseDrainsThenReturnsNullopt) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_FALSE(q.push(3));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, PopForTimesOut) {
-  BoundedQueue<int> q(1);
-  const auto t0 = now();
-  EXPECT_EQ(q.pop_for(millis(30)), std::nullopt);
-  EXPECT_GE(now() - t0, millis(25));
-}
-
-TEST(BoundedQueue, BlockedPushWakesOnPop) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread t([&] {
-    q.push(2);  // blocks until the pop below
-    pushed = true;
-  });
-  std::this_thread::sleep_for(millis(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.pop(), 1);
-  t.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, ManyProducersManyConsumers) {
-  BoundedQueue<int> q(16);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::atomic<long> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < 3; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum += *v;
-        ++popped;
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.close();
-  for (size_t i = kProducers; i < threads.size(); ++i) threads[i].join();
-  EXPECT_EQ(popped.load(), kProducers * kPerProducer);
-  const long expected = static_cast<long>(kProducers) * kPerProducer *
-                        (kProducers * kPerProducer - 1) / 2;
-  EXPECT_EQ(sum.load(), expected);
-}
 
 // --- ThreadPool / WaitGroup ---------------------------------------------------
 
@@ -252,16 +169,31 @@ TEST(Result, ValueAndError) {
 
 // --- Flags ----------------------------------------------------------------------
 
+constexpr const char* kFlagsUsage =
+    "prog\n  --alpha=N\n  --beta=F\n  --verbose\n  --name=S\n";
+
 TEST(Flags, ParsesAllForms) {
   const char* argv[] = {"prog", "--alpha=3",  "--beta", "4.5",
                         "--verbose", "--name=x"};
-  Flags flags(6, const_cast<char**>(argv));
+  Flags flags(6, const_cast<char**>(argv), kFlagsUsage);
   EXPECT_EQ(flags.get_int("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(flags.get_double("beta", 0), 4.5);
   EXPECT_TRUE(flags.get_bool("verbose", false));
   EXPECT_EQ(flags.get_string("name", ""), "x");
   EXPECT_EQ(flags.get_int("missing", 7), 7);
   EXPECT_FALSE(flags.has("missing"));
+}
+
+TEST(FlagsDeathTest, UnknownFlagExitsTwoAndDocumentedFlagParses) {
+  const char* typo[] = {"prog", "--alpah=3"};
+  EXPECT_EXIT(Flags(2, const_cast<char**>(typo), kFlagsUsage),
+              ::testing::ExitedWithCode(2), "unknown flag '--alpah=3'");
+  const char* bare_typo[] = {"prog", "--verbos"};
+  EXPECT_EXIT(Flags(2, const_cast<char**>(bare_typo), kFlagsUsage),
+              ::testing::ExitedWithCode(2), "unknown flag");
+  const char* documented[] = {"prog", "--alpha", "5"};
+  Flags flags(3, const_cast<char**>(documented), kFlagsUsage);
+  EXPECT_EQ(flags.get_int("alpha", 0), 5);
 }
 
 // --- Metrics ---------------------------------------------------------------------

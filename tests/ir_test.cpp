@@ -1,5 +1,5 @@
-// Tests for the typed flowlet IR (src/ir/): verifier rules, the optimizing
-// passes, the backend lowering, and the EventLog-measurable effect of fusion
+// Tests for the flowlet-graph IR (engine/graph.h + src/ir/): verifier rules,
+// the optimizing passes, lowering, and the EventLog-measurable effect of fusion
 // (fused graphs emit byte-identical output through strictly fewer bin
 // dispatches).
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include "apps/common.h"
 #include "apps/wordcount.h"
 #include "engine/engine.h"
-#include "ir/ir.h"
+#include "engine/graph.h"
 #include "ir/lower.h"
 #include "ir/passes.h"
 #include "obs/event_log.h"
@@ -20,10 +20,12 @@
 namespace hamr {
 namespace {
 
-using ir::EdgeAttrs;
+using engine::EdgeOptions;
+using engine::FlowletKind;
+using engine::local_edge;
+using engine::TypeTag;
 using ir::Graph;
-using ir::NodeId;
-using ir::NodeKind;
+using NodeId = engine::FlowletId;
 
 // Structure-only tests never run the flowlets, so a factory that produces
 // nothing satisfies the verifier without dragging real operators in.
@@ -31,27 +33,35 @@ engine::FlowletFactory stub_factory() {
   return [] { return std::unique_ptr<engine::Flowlet>(); };
 }
 
-EdgeAttrs hash_attrs() { return {}; }
+EdgeOptions hash_edge() { return {}; }
+
+// A sink is a map whose side effects keep it alive.
+NodeId add_sink(Graph& g, std::string name, engine::FlowletFactory factory,
+                TypeTag in = {}) {
+  const NodeId id = g.add_map(std::move(name), std::move(factory), std::move(in));
+  g.flowlet(id).effect = true;
+  return id;
+}
 
 // --- verifier -------------------------------------------------------------
 
 TEST(IrVerify, AcceptsAWellFormedChain) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory(), {"", "line"});
+  const NodeId src = g.add_loader("src", stub_factory(), {"", "line"});
   const NodeId map = g.add_map("m", stub_factory(), {"", "line"}, {"k", "v"});
-  const NodeId sink = g.add_sink("sink", stub_factory(), {"k", "v"});
-  g.connect(src, map, ir::local_attrs());
+  const NodeId sink = add_sink(g, "sink", stub_factory(), {"k", "v"});
+  g.connect(src, map, local_edge());
   g.connect(map, sink);
-  EXPECT_NO_THROW(ir::verify(g));
+  EXPECT_NO_THROW(engine::verify(g));
 }
 
 TEST(IrVerify, RejectsTypeMismatchAcrossAnEdge) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory(), {"word", "count"});
-  const NodeId sink = g.add_sink("sink", stub_factory(), {"word", "rank"});
+  const NodeId src = g.add_loader("src", stub_factory(), {"word", "count"});
+  const NodeId sink = add_sink(g, "sink", stub_factory(), {"word", "rank"});
   g.connect(src, sink);
   try {
-    ir::verify(g);
+    engine::verify(g);
     FAIL() << "expected type mismatch";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("type mismatch"), std::string::npos)
@@ -61,20 +71,20 @@ TEST(IrVerify, RejectsTypeMismatchAcrossAnEdge) {
 
 TEST(IrVerify, EmptyTagComponentIsAWildcard) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory(), {"word", "count"});
-  const NodeId sink = g.add_sink("sink", stub_factory(), {"", "count"});
+  const NodeId src = g.add_loader("src", stub_factory(), {"word", "count"});
+  const NodeId sink = add_sink(g, "sink", stub_factory(), {"", "count"});
   g.connect(src, sink);
-  EXPECT_NO_THROW(ir::verify(g));
+  EXPECT_NO_THROW(engine::verify(g));
 }
 
 TEST(IrVerify, RejectsDanglingNode) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId sink = add_sink(g, "sink", stub_factory());
   g.connect(src, sink);
   g.add_map("orphan", stub_factory());  // never connected
   try {
-    ir::verify(g);
+    engine::verify(g);
     FAIL() << "expected dangling-node error";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("dangling"), std::string::npos)
@@ -84,15 +94,15 @@ TEST(IrVerify, RejectsDanglingNode) {
 
 TEST(IrVerify, RejectsTapOnCombineEdgeWithClearError) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId comb = g.add_combine("fold", stub_factory());
-  g.node(comb).effect = true;
-  EdgeAttrs attrs;
-  attrs.combine = true;
-  attrs.tap = [](uint32_t, std::string_view, std::string_view) {};
-  g.connect(src, comb, attrs);
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId comb = g.add_partial_reduce("fold", stub_factory());
+  g.flowlet(comb).effect = true;
+  EdgeOptions options;
+  options.combine = true;
+  options.tap = [](uint32_t, std::string_view, std::string_view) {};
+  g.connect(src, comb, options);
   try {
-    ir::verify(g);
+    engine::verify(g);
     FAIL() << "expected tap-on-combine rejection";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -105,21 +115,21 @@ TEST(IrVerify, RejectsTapOnCombineEdgeWithClearError) {
 
 TEST(IrVerify, RejectsCombineEdgeIntoNonCombineNode) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
-  EdgeAttrs attrs;
-  attrs.combine = true;
-  g.connect(src, sink, attrs);
-  EXPECT_THROW(ir::verify(g), std::invalid_argument);
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId sink = add_sink(g, "sink", stub_factory());
+  EdgeOptions options;
+  options.combine = true;
+  g.connect(src, sink, options);
+  EXPECT_THROW(engine::verify(g), std::invalid_argument);
 }
 
 TEST(IrVerify, RejectsSplitsOnNonSource) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId sink = add_sink(g, "sink", stub_factory());
   g.connect(src, sink);
-  g.node(sink).splits.push_back(engine::InputSplit{});
-  EXPECT_THROW(ir::verify(g), std::invalid_argument);
+  g.flowlet(sink).splits.push_back(engine::InputSplit{});
+  EXPECT_THROW(engine::verify(g), std::invalid_argument);
 }
 
 TEST(IrVerify, RejectsCycle) {
@@ -128,153 +138,139 @@ TEST(IrVerify, RejectsCycle) {
   const NodeId b = g.add_map("b", stub_factory());
   g.connect(a, b);
   g.connect(b, a);
-  EXPECT_THROW(ir::verify(g), std::invalid_argument);
+  EXPECT_THROW(engine::verify(g), std::invalid_argument);
 }
 
 TEST(IrVerify, RejectsNodeWithoutFactory) {
   Graph g;
-  const NodeId src = g.add_source("src", engine::FlowletFactory{});
-  const NodeId sink = g.add_sink("sink", stub_factory());
+  const NodeId src = g.add_loader("src", engine::FlowletFactory{});
+  const NodeId sink = add_sink(g, "sink", stub_factory());
   g.connect(src, sink);
-  EXPECT_THROW(ir::verify(g), std::invalid_argument);
+  EXPECT_THROW(engine::verify(g), std::invalid_argument);
 }
 
 // --- passes ---------------------------------------------------------------
 
 TEST(IrPasses, FuseMapsCollapsesALocalChain) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory(), {"", "line"});
+  const NodeId src = g.add_loader("src", stub_factory(), {"", "line"});
   const NodeId m1 =
       g.add_map("m1", stub_factory(), {"", "line"}, {"", "token"});
   const NodeId m2 = g.add_map("m2", stub_factory(), {"", "token"}, {"k", "v"});
-  const NodeId sink = g.add_sink("sink", stub_factory(), {"k", "v"});
-  g.connect(src, m1, ir::local_attrs());
-  g.connect(m1, m2, ir::local_attrs());
-  g.connect(m2, sink, ir::local_attrs());
+  const NodeId sink = add_sink(g, "sink", stub_factory(), {"k", "v"});
+  g.connect(src, m1, local_edge());
+  g.connect(m1, m2, local_edge());
+  g.connect(m2, sink, local_edge());
 
-  const Graph fused = fuse_maps(g);
-  ir::verify(fused, "test");
-  ASSERT_EQ(fused.nodes.size(), 1u);
+  const Graph fused = ir::fuse_maps(g);
+  engine::verify(fused, "test");
+  ASSERT_EQ(fused.flowlets.size(), 1u);
   EXPECT_EQ(fused.edges.size(), 0u);
-  EXPECT_EQ(fused.nodes[0].kind, NodeKind::kSource);
-  EXPECT_EQ(fused.nodes[0].name, "src+m1+m2+sink");
-  EXPECT_TRUE(fused.nodes[0].effect);  // the sink's side effect survives
+  EXPECT_EQ(fused.flowlets[0].kind, FlowletKind::kLoader);
+  EXPECT_EQ(fused.flowlets[0].name, "src+m1+m2+sink");
+  EXPECT_TRUE(fused.flowlets[0].effect);  // the sink's side effect survives
 }
 
 TEST(IrPasses, FuseMapsStopsAtShuffleEdges) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
+  const NodeId src = g.add_loader("src", stub_factory());
   const NodeId map = g.add_map("m", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
-  g.connect(src, map, hash_attrs());  // shuffle: not fusible
-  g.connect(map, sink, ir::local_attrs());
+  const NodeId sink = add_sink(g, "sink", stub_factory());
+  g.connect(src, map, hash_edge());  // shuffle: fusion cannot cross it
+  g.connect(map, sink, local_edge());
 
-  const Graph fused = fuse_maps(g);
-  ir::verify(fused, "test");
-  ASSERT_EQ(fused.nodes.size(), 2u);  // only map+sink collapsed
-  EXPECT_EQ(fused.nodes[1].name, "m+sink");
-}
-
-TEST(IrPasses, FuseMapsHonoursFusibleFalse) {
-  Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId map = g.add_map("m", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
-  g.node(map).fusible = false;
-  g.node(sink).fusible = false;
-  g.connect(src, map, ir::local_attrs());
-  g.connect(map, sink, ir::local_attrs());
-
-  const Graph fused = fuse_maps(g);
-  EXPECT_EQ(fused.nodes.size(), 3u);
+  const Graph fused = ir::fuse_maps(g);
+  engine::verify(fused, "test");
+  ASSERT_EQ(fused.flowlets.size(), 2u);  // only map+sink collapsed
+  EXPECT_EQ(fused.flowlets[1].name, "m+sink");
 }
 
 TEST(IrPasses, FuseMapsLeavesFanOutProducersAlone) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId a = g.add_sink("a", stub_factory());
-  const NodeId b = g.add_sink("b", stub_factory());
-  g.connect(src, a, ir::local_attrs());
-  g.connect(src, b, ir::local_attrs());
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId a = add_sink(g, "a", stub_factory());
+  const NodeId b = add_sink(g, "b", stub_factory());
+  g.connect(src, a, local_edge());
+  g.connect(src, b, local_edge());
 
   // Two consumers: fusing either would change the other's port numbering.
-  const Graph fused = fuse_maps(g);
-  EXPECT_EQ(fused.nodes.size(), 3u);
+  const Graph fused = ir::fuse_maps(g);
+  EXPECT_EQ(fused.flowlets.size(), 3u);
 }
 
 TEST(IrPasses, PlaceCombinerEnablesOnlyEligibleEdges) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId opted = g.add_combine("opted", stub_factory());
-  const NodeId not_opted = g.add_combine("not-opted", stub_factory());
-  const NodeId local = g.add_combine("local", stub_factory());
-  const NodeId tapped = g.add_combine("tapped", stub_factory());
-  g.node(opted).combinable = true;
-  g.node(local).combinable = true;
-  g.node(tapped).combinable = true;
-  for (NodeId n : {opted, not_opted, local, tapped}) g.node(n).effect = true;
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId opted = g.add_partial_reduce("opted", stub_factory());
+  const NodeId not_opted = g.add_partial_reduce("not-opted", stub_factory());
+  const NodeId local = g.add_partial_reduce("local", stub_factory());
+  const NodeId tapped = g.add_partial_reduce("tapped", stub_factory());
+  g.flowlet(opted).combinable = true;
+  g.flowlet(local).combinable = true;
+  g.flowlet(tapped).combinable = true;
+  for (NodeId n : {opted, not_opted, local, tapped}) g.flowlet(n).effect = true;
 
-  g.connect(src, opted, hash_attrs());
-  g.connect(src, not_opted, hash_attrs());
-  g.connect(src, local, ir::local_attrs());
-  EdgeAttrs tap_attrs;
-  tap_attrs.tap = [](uint32_t, std::string_view, std::string_view) {};
-  g.connect(src, tapped, tap_attrs);
+  g.connect(src, opted, hash_edge());
+  g.connect(src, not_opted, hash_edge());
+  g.connect(src, local, local_edge());
+  EdgeOptions tap_options;
+  tap_options.tap = [](uint32_t, std::string_view, std::string_view) {};
+  g.connect(src, tapped, tap_options);
 
-  const Graph placed = place_combiner(g);
-  ir::verify(placed, "test");
-  EXPECT_TRUE(placed.edges[0].attrs.combine);    // shuffle into opted-in
-  EXPECT_FALSE(placed.edges[1].attrs.combine);   // not opted in
-  EXPECT_FALSE(placed.edges[2].attrs.combine);   // local edge: nothing to win
-  EXPECT_FALSE(placed.edges[3].attrs.combine);   // tap would be blinded
+  const Graph placed = ir::place_combiner(g);
+  engine::verify(placed, "test");
+  EXPECT_TRUE(placed.edges[0].options.combine);    // shuffle into opted-in
+  EXPECT_FALSE(placed.edges[1].options.combine);   // not opted in
+  EXPECT_FALSE(placed.edges[2].options.combine);   // local edge: nothing to win
+  EXPECT_FALSE(placed.edges[3].options.combine);   // tap would be blinded
 }
 
 TEST(IrPasses, FuseMapCombineFoldsTheMapBelowTheShuffle) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
+  const NodeId src = g.add_loader("src", stub_factory());
   const NodeId map = g.add_map("m", stub_factory());
-  const NodeId comb = g.add_combine("fold", stub_factory());
-  g.node(comb).combinable = true;
-  g.node(comb).effect = true;
-  g.connect(src, map, ir::local_attrs());
-  g.connect(map, comb, hash_attrs());
+  const NodeId comb = g.add_partial_reduce("fold", stub_factory());
+  g.flowlet(comb).combinable = true;
+  g.flowlet(comb).effect = true;
+  g.connect(src, map, local_edge());
+  g.connect(map, comb, hash_edge());
 
-  const Graph placed = place_combiner(g);
-  ASSERT_TRUE(placed.edges[1].attrs.combine);
-  const Graph fused = fuse_map_combine(placed);
-  ir::verify(fused, "test");
-  ASSERT_EQ(fused.nodes.size(), 2u);
-  EXPECT_EQ(fused.nodes[0].name, "src+m");
-  EXPECT_TRUE(fused.edges[0].attrs.combine);  // combine edge survives fusion
+  const Graph placed = ir::place_combiner(g);
+  ASSERT_TRUE(placed.edges[1].options.combine);
+  const Graph fused = ir::fuse_map_combine(placed);
+  engine::verify(fused, "test");
+  ASSERT_EQ(fused.flowlets.size(), 2u);
+  EXPECT_EQ(fused.flowlets[0].name, "src+m");
+  EXPECT_TRUE(fused.edges[0].options.combine);  // combine edge survives fusion
 }
 
 TEST(IrPasses, EliminateDeadDropsBranchesWithoutEffects) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId sink = add_sink(g, "sink", stub_factory());
   const NodeId dead = g.add_map("dead", stub_factory());
-  g.connect(src, sink, ir::local_attrs());
-  g.connect(src, dead, ir::local_attrs());
+  g.connect(src, sink, local_edge());
+  g.connect(src, dead, local_edge());
   // `dead` hangs off src's trailing out-port, so removing it cannot
   // renumber the sink edge.
-  const Graph cleaned = eliminate_dead(g);
-  ir::verify(cleaned, "test");
-  ASSERT_EQ(cleaned.nodes.size(), 2u);
-  EXPECT_EQ(cleaned.nodes[1].name, "sink");
+  const Graph cleaned = ir::eliminate_dead(g);
+  engine::verify(cleaned, "test");
+  ASSERT_EQ(cleaned.flowlets.size(), 2u);
+  EXPECT_EQ(cleaned.flowlets[1].name, "sink");
 }
 
 TEST(IrPasses, EliminateDeadKeepsNodesThatWouldRenumberPorts) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
+  const NodeId src = g.add_loader("src", stub_factory());
   const NodeId dead = g.add_map("dead", stub_factory());
-  const NodeId sink = g.add_sink("sink", stub_factory());
-  g.connect(src, dead, ir::local_attrs());  // port 0: dead
-  g.connect(src, sink, ir::local_attrs());  // port 1: live
+  const NodeId sink = add_sink(g, "sink", stub_factory());
+  g.connect(src, dead, local_edge());  // port 0: dead
+  g.connect(src, sink, local_edge());  // port 1: live
   // Removing `dead` would shift the sink edge from port 1 to port 0 and
   // break the source flowlet's emit(1, ...) calls - so it must stay.
-  const Graph cleaned = eliminate_dead(g);
-  ir::verify(cleaned, "test");
-  EXPECT_EQ(cleaned.nodes.size(), 3u);
+  const Graph cleaned = ir::eliminate_dead(g);
+  engine::verify(cleaned, "test");
+  EXPECT_EQ(cleaned.flowlets.size(), 3u);
 }
 
 TEST(IrPasses, StandardPipelineIsVerifiedBetweenPasses) {
@@ -288,11 +284,11 @@ TEST(IrPasses, StandardPipelineIsVerifiedBetweenPasses) {
 TEST(IrPasses, NoFusionPipelinePreservesShape) {
   ir::Graph g = apps::wordcount::build_ir(/*combine=*/true);
   const ir::Graph out = ir::PassPipeline::no_fusion().run(g);
-  EXPECT_EQ(out.nodes.size(), g.nodes.size());
+  EXPECT_EQ(out.flowlets.size(), g.flowlets.size());
   EXPECT_EQ(out.edges.size(), g.edges.size());
   // ... but still places the combiner on the shuffle edge.
   bool combined = false;
-  for (const auto& e : out.edges) combined |= e.attrs.combine;
+  for (const auto& e : out.edges) combined |= e.options.combine;
   EXPECT_TRUE(combined);
 }
 
@@ -300,21 +296,21 @@ TEST(IrPasses, NoFusionPipelinePreservesShape) {
 
 TEST(IrDump, RendersNodesEdgesAndAttributes) {
   Graph g;
-  const NodeId src = g.add_source("TextLoader", stub_factory(), {"", "line"});
+  const NodeId src = g.add_loader("TextLoader", stub_factory(), {"", "line"});
   const NodeId map =
       g.add_map("Splitter", stub_factory(), {"", "line"}, {"word", "count"});
   const NodeId comb =
-      g.add_combine("Counter", stub_factory(), {"word", "count"}, {});
-  g.node(comb).effect = true;
-  g.node(comb).combinable = true;
-  g.node(src).splits.resize(4);
-  g.connect(src, map, ir::local_attrs());
-  EdgeAttrs attrs;
-  attrs.combine = true;
-  g.connect(map, comb, attrs);
+      g.add_partial_reduce("Counter", stub_factory(), {"word", "count"}, {});
+  g.flowlet(comb).effect = true;
+  g.flowlet(comb).combinable = true;
+  g.flowlet(src).splits.resize(4);
+  g.connect(src, map, local_edge());
+  EdgeOptions options;
+  options.combine = true;
+  g.connect(map, comb, options);
 
-  const std::string text = ir::dump(g);
-  EXPECT_NE(text.find("n0: source \"TextLoader\" out=(,line) splits=4"),
+  const std::string text = engine::dump(g);
+  EXPECT_NE(text.find("n0: loader \"TextLoader\" out=(,line) splits=4"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("n1: map \"Splitter\" in=(,line) out=(word,count)"),
@@ -339,25 +335,25 @@ TEST(IrLower, UnfusedWordCountPreservesHandBuiltFlowletIds) {
   EXPECT_EQ(g.flowlet(2).kind, engine::FlowletKind::kPartialReduce);
 }
 
-TEST(IrLower, CopiesSplitsAndEdgeAttrsIntoTheEngineGraph) {
+TEST(IrLower, MovesSplitsIntoJobInputsAndKeepsEdgeOptions) {
   Graph g;
-  const NodeId src = g.add_source("src", stub_factory());
-  const NodeId comb = g.add_combine("fold", stub_factory());
-  g.node(comb).effect = true;
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId comb = g.add_partial_reduce("fold", stub_factory());
+  g.flowlet(comb).effect = true;
   engine::InputSplit split;
   split.path = "input/x";
   split.length = 7;
   split.preferred_node = 1;
-  g.node(src).splits.push_back(split);
-  EdgeAttrs attrs;
-  attrs.combine = true;
-  g.connect(src, comb, attrs);
+  g.flowlet(src).splits.push_back(split);
+  EdgeOptions options;
+  options.combine = true;
+  g.connect(src, comb, options);
 
   const ir::Lowered lowered = ir::lower(g);
   ASSERT_EQ(lowered.graph.num_flowlets(), 2u);
-  ASSERT_EQ(lowered.flowlet_of.size(), 2u);
   EXPECT_TRUE(lowered.graph.edge(0).options.combine);
-  const auto& splits = lowered.inputs.splits.at(lowered.flowlet_of[src]);
+  EXPECT_TRUE(lowered.graph.flowlet(src).splits.empty());  // moved, not copied
+  const auto& splits = lowered.inputs.splits.at(src);
   ASSERT_EQ(splits.size(), 1u);
   EXPECT_EQ(splits[0].path, "input/x");
   EXPECT_EQ(splits[0].preferred_node, 1u);

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
-#include "ir/ir.h"
+#include "engine/graph.h"
 #include "query/planner.h"
 #include "query/reference.h"
 #include "query/testgen.h"
@@ -240,38 +240,40 @@ TEST_F(QueryDifferential, FilterProjectAboveShuffleLowersIntoTheStage) {
   struct Case {
     std::string tag;
     PlanPtr plan;
-    ir::NodeKind stage;  // what must feed the sink directly
+    engine::FlowletKind stage;  // what must feed the sink directly
     bool empty;          // the filter rejects every row
   };
   std::vector<Case> cases;
   cases.push_back({"fuse_join", post_join(Expr::cmp(4, CmpOp::kLt, V(8.0))),
-                   ir::NodeKind::kReduce, false});
+                   engine::FlowletKind::kReduce, false});
   cases.push_back({"fuse_join_none",
                    post_join(Expr::cmp(3, CmpOp::kGt, V(int64_t{100}))),
-                   ir::NodeKind::kReduce, true});
+                   engine::FlowletKind::kReduce, true});
   cases.push_back({"fuse_group_by",
                    post_group_by(Expr::cmp(0, CmpOp::kEq, V("odd"))),
-                   ir::NodeKind::kCombine, false});
+                   engine::FlowletKind::kPartialReduce, false});
   cases.push_back({"fuse_group_by_none",
                    post_group_by(Expr::cmp(1, CmpOp::kGt, V(int64_t{1000}))),
-                   ir::NodeKind::kCombine, true});
+                   engine::FlowletKind::kPartialReduce, true});
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.tag);
     const StagedTables staged = stage_tables(
         env_->engine->cluster(), catalog, scan_tables(*c.plan), c.tag);
-    const ir::Graph graph = lower_ir(*c.plan, catalog, staged, c.tag);
-    ir::verify(graph);
-    size_t maps = 0;
-    for (const ir::Node& node : graph.nodes) {
-      if (node.kind == ir::NodeKind::kMap) ++maps;
+    const engine::FlowletGraph graph = lower_ir(*c.plan, catalog, staged, c.tag);
+    engine::verify(graph);
+    size_t maps = 0;  // standalone filter/project stages (not the sink)
+    for (const engine::GraphNode& node : graph.flowlets) {
+      if (node.kind == engine::FlowletKind::kMap && !node.effect) ++maps;
     }
-    EXPECT_EQ(maps, 0u) << ir::dump(graph);
-    const ir::Node& sink = graph.node(0);  // lower_ir adds the sink first
+    EXPECT_EQ(maps, 0u) << engine::dump(graph);
+    // lower_ir adds the sink first.
+    const engine::GraphNode& sink = graph.flowlet(0);
     ASSERT_EQ(sink.name, "QuerySink");
+    ASSERT_TRUE(sink.effect);
     ASSERT_EQ(sink.in_edges.size(), 1u);
-    EXPECT_EQ(graph.node(graph.edge(sink.in_edges[0]).src).kind, c.stage)
-        << ir::dump(graph);
+    EXPECT_EQ(graph.flowlet(graph.edge(sink.in_edges[0]).src).kind, c.stage)
+        << engine::dump(graph);
     EXPECT_EQ(reference_eval(*c.plan, catalog).empty(), c.empty);
     expect_differential_match(*c.plan, catalog, c.tag);
   }

@@ -2,27 +2,15 @@
 
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "common/random.h"
-#include "serde/codec.h"
 #include "serde/serde.h"
 #include "query/row.h"
 
 using namespace hamr;
-using serde::Codec;
 using serde::DecodeError;
 using serde::Reader;
 using serde::Writer;
-
-namespace {
-
-template <typename T>
-T roundtrip(const T& value) {
-  return serde::decode_from<T>(serde::encode_to_string(value));
-}
-
-}  // namespace
 
 // --- varint ----------------------------------------------------------------
 
@@ -154,43 +142,7 @@ TEST(Serde, ReaderBoundsChecked) {
   EXPECT_EQ(r.remaining(), 2u);  // failed read consumed nothing of the fixed
 }
 
-// --- typed codecs ----------------------------------------------------------------
-
-TEST(Codec, Primitives) {
-  EXPECT_EQ(roundtrip<uint64_t>(1234567890123ull), 1234567890123ull);
-  EXPECT_EQ(roundtrip<uint32_t>(77u), 77u);
-  EXPECT_EQ(roundtrip<int64_t>(-42), -42);
-  EXPECT_EQ(roundtrip<int32_t>(-7), -7);
-  EXPECT_EQ(roundtrip<double>(3.14159), 3.14159);
-  EXPECT_EQ(roundtrip<bool>(true), true);
-  EXPECT_EQ(roundtrip<std::string>("hi\0there"), std::string("hi\0there"));
-}
-
-TEST(Codec, Containers) {
-  const std::vector<uint64_t> v{1, 2, 3, 1ull << 40};
-  EXPECT_EQ(roundtrip(v), v);
-  const std::vector<std::string> vs{"a", "", "ccc"};
-  EXPECT_EQ(roundtrip(vs), vs);
-  const std::map<std::string, uint64_t> m{{"x", 1}, {"y", 2}};
-  EXPECT_EQ(roundtrip(m), m);
-  const std::pair<std::string, double> p{"k", 2.5};
-  EXPECT_EQ(roundtrip(p), p);
-  const std::vector<std::pair<uint32_t, double>> nested{{1, 0.5}, {9, -2.0}};
-  EXPECT_EQ(roundtrip(nested), nested);
-}
-
-TEST(Codec, HostileVectorLengthRejected) {
-  ByteBuffer buf;
-  Writer w(buf);
-  w.put_varint(1ull << 40);  // claims a trillion elements
-  EXPECT_THROW(serde::decode_from<std::vector<uint64_t>>(buf.view()), DecodeError);
-}
-
-TEST(Codec, TrailingBytesRejected) {
-  std::string bytes = serde::encode_to_string<uint64_t>(5);
-  bytes.push_back('x');
-  EXPECT_THROW(serde::decode_from<uint64_t>(bytes), DecodeError);
-}
+// --- record batches --------------------------------------------------------------
 
 // Property: random record batches survive a full encode/decode cycle.
 TEST(Codec, RandomRecordBatchesRoundTrip) {
