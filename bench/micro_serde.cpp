@@ -11,9 +11,9 @@
 #include "common/random.h"
 #include "engine/bin.h"
 #include "engine/flat_table.h"
-#include "engine/runtime.h"
 #include "serde/batch.h"
 #include "serde/serde.h"
+#include "storage/sorted_run.h"
 
 using namespace hamr;
 
@@ -175,21 +175,10 @@ BENCHMARK(BM_StagePairVectorAndSort);
 static void BM_StageArenaAndSort(benchmark::State& state) {
   const auto input = stage_input();
   for (auto _ : state) {
-    Arena arena;
-    std::vector<engine::internal::ReduceStage::Rec> index;
-    for (const auto& [k, v] : input) {
-      char* data = arena.alloc(k.size() + v.size());
-      std::memcpy(data, k.data(), k.size());
-      std::memcpy(data + k.size(), v.data(), v.size());
-      engine::internal::ReduceStage::Rec rec;
-      rec.prefix = engine::internal::key_prefix(k);
-      rec.key_len = static_cast<uint32_t>(k.size());
-      rec.value_len = static_cast<uint32_t>(v.size());
-      rec.data = data;
-      index.push_back(rec);
-    }
-    std::stable_sort(index.begin(), index.end(), engine::internal::reduce_rec_less);
-    benchmark::DoNotOptimize(index.size());
+    storage::RunBuffer run;
+    for (const auto& [k, v] : input) run.add(k, v);
+    run.sort();
+    benchmark::DoNotOptimize(run.records());
   }
   state.SetItemsProcessed(state.iterations() * kStageRecords);
 }

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "common/clock.h"
-
 namespace hamr::fault {
 class FaultInjector;
 }  // namespace hamr::fault
@@ -42,7 +40,6 @@ struct EngineConfig {
   // time... the number of concurrent loader tasks can be decreased").
   uint64_t flow_control_high_bytes = 4ull * 1024 * 1024;
   bool flow_control_enabled = true;
-  Duration defer_retry = millis(2);
 
   // Receiver-side bound on buffered incoming bins (bytes). When a node's
   // workers cannot drain this fast enough, its delivery thread blocks, the
@@ -50,12 +47,8 @@ struct EngineConfig {
   // watermark, and loaders throttle - the full end-to-end backpressure chain
   // of paper §2. NOTE: because the delivery thread may block here, flowlet
   // data-path code must not wait synchronously on remote RPCs (use the
-  // node-local kv shard, as every built-in benchmark does).
+  // node-local kv shard, as every built-in benchmark does). Must be > 0.
   uint64_t bin_queue_bytes = 16ull * 1024 * 1024;
-
-  // Parallel reduce streams per node (sub-partitions of the node's key
-  // range); the fine-grain analog of multiple reduce slots.
-  uint32_t reduce_subpartitions = 4;
 
   // Striping of partial-reduce accumulator tables. Each stripe is a serial
   // resource: in HAMR's one-runtime-per-node model all worker threads share
@@ -68,10 +61,6 @@ struct EngineConfig {
   // (~ a single contended shared variable) sustains. 0 disables the model.
   // The value is scaled together with the disk/NIC models; see DESIGN.md.
   double shared_update_rate_per_stripe = 150e3;
-
-  // Loader tasks emit in chunks of this many records, re-checking flow
-  // control between chunks (fine-grain loading).
-  uint64_t loader_chunk_records = 2048;
 
   // Fault tolerance. When an injector is attached (not owned; must outlive
   // the engine) the runtime consults it for task-crash points and reads its

@@ -33,6 +33,10 @@ Engine::Engine(cluster::Cluster& cluster, EngineConfig config)
   if (config_.lane >= net::msg_type::kMaxEngineLanes) {
     throw std::invalid_argument("engine lane out of range");
   }
+  if (config_.bin_queue_bytes == 0) {
+    // push_bin waits for queued bytes < budget, which can never hold at 0.
+    throw std::invalid_argument("engine bin_queue_bytes must be positive");
+  }
   runtimes_.reserve(cluster_.size());
   for (uint32_t i = 0; i < cluster_.size(); ++i) {
     runtimes_.push_back(
@@ -138,8 +142,7 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
       // combine key arenas) report into one engine.arena_bytes gauge.
       Gauge* arena_gauge = cluster_.node(n).metrics().gauge("engine.arena_bytes");
       if (gnode.kind == FlowletKind::kReduce) {
-        const uint32_t stages = std::max(1u, config_.reduce_subpartitions);
-        for (uint32_t s = 0; s < stages; ++s) {
+        for (uint32_t s = 0; s < internal::kReduceStages; ++s) {
           fs->stages.push_back(
               std::make_unique<internal::ReduceStage>(arena_gauge));
         }

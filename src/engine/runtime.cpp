@@ -8,8 +8,6 @@
 #include "engine/engine.h"
 #include "fault/fault.h"
 #include "obs/trace.h"
-#include "sort/merge.h"
-#include "storage/run_file.h"
 
 namespace hamr::engine {
 
@@ -18,12 +16,20 @@ namespace {
 // Control message kinds carried in kEngineControl payloads.
 constexpr uint64_t kCtlComplete = 1;
 
+// How long a flow-controlled task stays parked before it is re-submitted.
+constexpr Duration kDeferRetry = std::chrono::milliseconds(2);
+
 // Sub-partition / stripe selection must be independent of the node-partition
 // hash, or all of a node's keys would land in one stage.
-uint32_t stage_of(std::string_view key, uint32_t stages) {
-  return stages <= 1
-             ? 0
-             : static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x5743) % stages);
+uint32_t stage_of(std::string_view key) {
+  return static_cast<uint32_t>(hash_combine(hash_bytes(key), 0x5743) %
+                               internal::kReduceStages);
+}
+
+// A reduce stage's charge against the node-wide staging budget: payload plus
+// 16 bytes of bookkeeping per buffered record.
+uint64_t staged_cost(const storage::RunBuffer& run) {
+  return run.payload_bytes() + 16 * run.records();
 }
 
 // `h` is hash_bytes(key): callers hash once for the stripe and the probe.
@@ -525,7 +531,7 @@ void NodeRuntime::defer_task(FlowletId flowlet, int64_t tag,
   d.tag = tag;
   d.begin = now();
   d.task = std::move(task);
-  schedule_deferred(d.begin + config_.defer_retry, std::move(d));
+  schedule_deferred(d.begin + kDeferRetry, std::move(d));
 }
 
 void NodeRuntime::schedule_deferred(TimePoint due, DeferredTask&& d) {
@@ -871,72 +877,44 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
   // under a single lock acquisition. Bins carry hundreds of records, and the
   // per-record lock/unlock plus spill bookkeeping used to dominate the
   // shuffle receive path. Record views stay valid while `bin` is alive.
-  const uint32_t num_stages = std::max(1u, config_.reduce_subpartitions);
-  thread_local std::vector<std::vector<KvPair>> buckets;
-  if (buckets.size() < num_stages) buckets.resize(num_stages);
+  thread_local std::vector<std::vector<KvPair>> buckets(internal::kReduceStages);
   KvPair record;
-  while (bin.next(&record)) {
-    buckets[stage_of(record.key, config_.reduce_subpartitions)].push_back(record);
-  }
+  while (bin.next(&record)) buckets[stage_of(record.key)].push_back(record);
 
-  for (uint32_t si = 0; si < num_stages; ++si) {
+  const uint64_t min_spill =
+      config_.memory_budget_bytes / (4ull * internal::kReduceStages);
+  for (uint32_t si = 0; si < internal::kReduceStages; ++si) {
     std::vector<KvPair>& bucket = buckets[si];
     if (bucket.empty()) continue;
     internal::ReduceStage& stage = *fs.stages[si];
-    uint64_t batch_bytes = 0;
-    for (const KvPair& r : bucket) {
-      batch_bytes += r.key.size() + r.value.size() + 16;
-    }
-    uint64_t spill_bytes = 0;
-    Arena spill_arena;
-    std::vector<internal::ReduceStage::Rec> to_spill;
+    storage::RunBuffer to_spill;
     std::string spill_file;
     {
       std::lock_guard<std::mutex> lock(stage.mu);
-      for (const KvPair& r : bucket) {
-        // One arena bump holds key and value contiguously; the index entry
-        // caches an 8-byte key prefix so the pre-reduce sort is mostly
-        // integer compares.
-        char* data = stage.arena.alloc(r.key.size() + r.value.size());
-        std::memcpy(data, r.key.data(), r.key.size());
-        std::memcpy(data + r.key.size(), r.value.data(), r.value.size());
-        internal::ReduceStage::Rec rec;
-        rec.prefix = internal::key_prefix(r.key);
-        rec.key_len = static_cast<uint32_t>(r.key.size());
-        rec.value_len = static_cast<uint32_t>(r.value.size());
-        rec.data = data;
-        stage.index.push_back(rec);
-      }
-      stage.bytes += batch_bytes;
-      staged_bytes_.fetch_add(batch_bytes);
+      const uint64_t before = staged_cost(stage.run);
+      for (const KvPair& r : bucket) stage.run.add(r.key, r.value);
+      const uint64_t stage_bytes = staged_cost(stage.run);
+      staged_bytes_.fetch_add(stage_bytes - before);
       // Spill check per batch, not per record: the budget can overshoot by
       // at most one bin's worth of records.
-      const uint64_t min_spill =
-          config_.memory_budget_bytes / (4ull * std::max(1u, config_.reduce_subpartitions));
       if (staged_bytes_.load() > config_.memory_budget_bytes &&
-          stage.bytes >= min_spill) {
-        // Spill this stage: move its arena + index out wholesale and re-arm
-        // an empty arena (the gauge charge moves with the old one).
-        spill_arena = std::move(stage.arena);
-        stage.arena = Arena(arena_bytes_g_);
-        to_spill.swap(stage.index);
-        spill_bytes = stage.bytes;
-        stage.bytes = 0;
-        spill_file = spill_path(flowlet, si, stage.next_spill++);
+          stage_bytes >= min_spill) {
+        // Spill this stage: move its records out wholesale (the gauge charge
+        // moves with them) and sort/write them outside the lock.
+        to_spill = stage.run.take();
+        spill_file = spill_path(flowlet, si, stage.spill_paths.size());
         stage.spill_paths.push_back(spill_file);
       }
     }
     bucket.clear();
-    if (!to_spill.empty()) {
+    if (to_spill.records() != 0) {
+      const uint64_t spill_bytes = staged_cost(to_spill);
       staged_bytes_.fetch_sub(spill_bytes);
       obs::TraceSpan span("spill.write", "engine.spill", node_id(), flowlet,
                           static_cast<int64_t>(spill_bytes));
-      std::stable_sort(to_spill.begin(), to_spill.end(),
-                       internal::reduce_rec_less);
+      to_spill.sort();
       storage::RunWriter writer(&node_->store(), spill_file);
-      for (const internal::ReduceStage::Rec& r : to_spill) {
-        writer.add(r.key(), r.value());
-      }
+      to_spill.write_to(writer);
       write_spill_with_retry(writer);
       spill_runs_c_->inc();
       log_event(obs::EventKind::kSpill, flowlet,
@@ -948,9 +926,8 @@ void NodeRuntime::stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs
 void NodeRuntime::fire_reduce(FlowletId flowlet) {
   auto job = current_job();
   internal::FlowletState& fs = *job->flowlets[flowlet];
-  const uint32_t stages = std::max(1u, config_.reduce_subpartitions);
-  fs.reduce_tasks_outstanding.store(stages);
-  for (uint32_t si = 0; si < stages; ++si) {
+  fs.reduce_tasks_outstanding.store(internal::kReduceStages);
+  for (uint32_t si = 0; si < internal::kReduceStages; ++si) {
     submit_task([this, flowlet, si] { run_reduce_stage(flowlet, si); });
   }
 }
@@ -982,15 +959,7 @@ void NodeRuntime::run_reduce_stage(FlowletId flowlet, uint32_t stage_index,
   // Cancelled job: skip the sort/merge but still release staged memory,
   // drop spill runs, and cascade so the completion protocol finishes.
   if (job_cancelled()) {
-    staged_bytes_.fetch_sub(stage.bytes);
-    stage.bytes = 0;
-    stage.index.clear();
-    stage.index.shrink_to_fit();
-    stage.arena.clear();
-    for (const std::string& path : stage.spill_paths) {
-      (void)node_->store().remove(path);
-    }
-    stage.spill_paths.clear();
+    release_stage(stage);
     if (fs.reduce_tasks_outstanding.fetch_sub(1) == 1) {
       submit_task([this, flowlet] { run_finish(flowlet); });
     }
@@ -1004,80 +973,22 @@ void NodeRuntime::run_reduce_stage(FlowletId flowlet, uint32_t stage_index,
   // No staging lock needed: every bin was staged (upstream complete) before
   // the reduce fires. Stable: same-key records keep arrival order, and the
   // cached prefixes make most comparisons a single integer compare.
-  std::stable_sort(stage.index.begin(), stage.index.end(),
-                   internal::reduce_rec_less);
+  stage.run.sort();
 
   {
     TaskContext ctx(this, job.get(), flowlet);
-
-    // Merge in-memory records with any spilled sorted runs through a loser
-    // tree (O(log k) per record instead of a linear best-of-k scan), group
-    // by key, and hand each group to reduce(). The in-memory run goes last:
-    // the tree breaks ties toward smaller source indices, so spill order
-    // followed by memory reproduces stable arrival order.
-    struct Source {
-      std::unique_ptr<storage::RunReader> reader;  // null => memory source
-      const std::vector<internal::ReduceStage::Rec>* mem = nullptr;
-      size_t mem_pos = 0;
-      bool next(std::string_view* key, std::string_view* value) {
-        if (reader) return reader->next(key, value);
-        if (mem_pos >= mem->size()) return false;
-        const internal::ReduceStage::Rec& r = (*mem)[mem_pos++];
-        *key = r.key();
-        *value = r.value();
-        return true;
-      }
-    };
-    std::vector<Source> sources;
-    sources.reserve(stage.spill_paths.size() + 1);
-    for (const std::string& path : stage.spill_paths) {
-      Source s;
-      s.reader = std::make_unique<storage::RunReader>(&node_->store(), path);
-      sources.push_back(std::move(s));
-    }
-    Source mem;
-    mem.mem = &stage.index;
-    sources.push_back(std::move(mem));
-    merge_fan_in_h_->observe(sources.size());
-    sort::LoserTree<Source> tree(std::move(sources));
-
-    std::string current_key;
-    std::vector<std::string_view> values;
-    bool have_group = false;
-    auto flush_group = [&] {
-      if (have_group) {
-        red->reduce(current_key, values, ctx);
-        values.clear();
-        have_group = false;
-      }
-    };
-
-    // The accumulated value views stay valid across tree.next() calls: run
-    // readers and the arena index both back their views with storage that
-    // lives for the whole merge.
-    std::string_view key, value;
-    while (tree.next(&key, &value)) {
-      if (!have_group || key != current_key) {
-        flush_group();
-        current_key.assign(key);
-        have_group = true;
-      }
-      values.push_back(value);
-    }
-    flush_group();
+    // Spill runs in creation order, then the in-memory run: the merge breaks
+    // ties toward earlier sources, so each group's values keep arrival order.
+    merge_fan_in_h_->observe(stage.spill_paths.size() + 1);
+    storage::RunMerge merge =
+        storage::open_merge(&node_->store(), stage.spill_paths, &stage.run);
+    storage::for_each_key_group(
+        merge, [&](std::string_view key, const std::vector<std::string_view>& values) {
+          red->reduce(key, values, ctx);
+        });
   }
 
-  // Release staged memory (the arena drops its chunks wholesale and
-  // un-charges engine.arena_bytes).
-  staged_bytes_.fetch_sub(stage.bytes);
-  stage.bytes = 0;
-  stage.index.clear();
-  stage.index.shrink_to_fit();
-  stage.arena.clear();
-  for (const std::string& path : stage.spill_paths) {
-    (void)node_->store().remove(path);
-  }
-  stage.spill_paths.clear();
+  release_stage(stage);
 
   const auto stage_us =
       static_cast<uint64_t>((now() - reduce_t0).count() / 1000);
@@ -1087,6 +998,15 @@ void NodeRuntime::run_reduce_stage(FlowletId flowlet, uint32_t stage_index,
   if (fs.reduce_tasks_outstanding.fetch_sub(1) == 1) {
     submit_task([this, flowlet] { run_finish(flowlet); });
   }
+}
+
+void NodeRuntime::release_stage(internal::ReduceStage& stage) {
+  staged_bytes_.fetch_sub(staged_cost(stage.run));
+  stage.run.clear();
+  for (const std::string& path : stage.spill_paths) {
+    (void)node_->store().remove(path);
+  }
+  stage.spill_paths.clear();
 }
 
 // --- completion --------------------------------------------------------------
@@ -1431,24 +1351,22 @@ void NodeRuntime::write_spill_with_retry(storage::RunWriter& writer) {
                                    : 0;
   for (uint32_t attempt = 0;; ++attempt) {
     Result<uint64_t> written = writer.finish();
-    if (written.ok()) {
-      metrics().counter("engine.spills")->inc();
-      metrics().counter("engine.spill_bytes")->add(written.value());
-      return;
+    if (!written.ok() && attempt < max_retries) {
+      metrics().counter("engine.spill_retries")->inc();
+      std::this_thread::sleep_for(retry_backoff(attempt));
+      continue;
     }
-    if (attempt >= max_retries) {
+    if (!written.ok()) {
       // Persistent injected failure: fall back to the infallible write so the
       // job still completes with correct output (and say so loudly).
       HLOG_ERROR << "node " << node_id() << " spill write failed "
                  << (attempt + 1) << " times (" << written.status().ToString()
                  << "); forcing unchecked write";
-      const uint64_t bytes = writer.close();
-      metrics().counter("engine.spills")->inc();
-      metrics().counter("engine.spill_bytes")->add(bytes);
-      return;
     }
-    metrics().counter("engine.spill_retries")->inc();
-    std::this_thread::sleep_for(retry_backoff(attempt));
+    metrics().counter("engine.spills")->inc();
+    metrics().counter("engine.spill_bytes")->add(written.ok() ? written.value()
+                                                              : writer.close());
+    return;
   }
 }
 

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/arena.h"
 #include "common/metrics.h"
 #include "common/pool.h"
 #include "engine/config.h"
@@ -55,10 +54,7 @@
 #include "engine/split.h"
 #include "net/payload.h"
 #include "obs/event_log.h"
-
-namespace hamr::storage {
-class RunWriter;
-}  // namespace hamr::storage
+#include "storage/sorted_run.h"
 
 namespace hamr::engine {
 
@@ -67,51 +63,19 @@ class TaskContext;
 
 namespace internal {
 
-// Big-endian 8-byte key prefix: integer compare of prefixes orders exactly
-// like the lexicographic compare of the first 8 key bytes, so the staging
-// sort only touches key bytes on a prefix tie.
-inline uint64_t key_prefix(std::string_view key) {
-  uint64_t p = 0;
-  const size_t n = key.size() < 8 ? key.size() : 8;
-  for (size_t i = 0; i < n; ++i) {
-    p |= static_cast<uint64_t>(static_cast<uint8_t>(key[i])) << (56 - 8 * i);
-  }
-  return p;
-}
+// Sub-partitions of a node's key range: parallel reduce streams per node,
+// the fine-grain analog of multiple reduce slots.
+inline constexpr uint32_t kReduceStages = 4;
 
-// Reduce-input staging for one sub-partition of a node's key range: record
-// bytes live contiguously in a chunked arena, the index carries views plus a
-// cached key prefix, so staging a record is one arena bump + one index push
-// (the old layout allocated two std::strings per record) and the pre-reduce
-// sort compares 8-byte integers instead of dereferencing two heap strings.
+// Reduce-input staging for one sub-partition of a node's key range: the
+// buffered records and the sorted runs spilled from them, in creation order.
 struct ReduceStage {
-  // One staged record: key bytes at [data, data+key_len), value bytes
-  // immediately after.
-  struct Rec {
-    uint64_t prefix = 0;
-    uint32_t key_len = 0;
-    uint32_t value_len = 0;
-    const char* data = nullptr;
-    std::string_view key() const { return {data, key_len}; }
-    std::string_view value() const { return {data + key_len, value_len}; }
-  };
-
-  explicit ReduceStage(Gauge* arena_gauge) : arena(arena_gauge) {}
+  explicit ReduceStage(Gauge* arena_gauge) : run(arena_gauge) {}
 
   std::mutex mu;
-  Arena arena;
-  std::vector<Rec> index;
-  uint64_t bytes = 0;
+  storage::RunBuffer run;
   std::vector<std::string> spill_paths;
-  uint64_t next_spill = 0;
 };
-
-// Orders staged records by key (prefix first); stable sorts with it keep
-// same-key values in arrival order, exactly like the old pair-sort.
-inline bool reduce_rec_less(const ReduceStage::Rec& a, const ReduceStage::Rec& b) {
-  if (a.prefix != b.prefix) return a.prefix < b.prefix;
-  return a.key() < b.key();
-}
 
 // Node-shared partial-reduce accumulator table, striped. Each stripe models
 // one contended shared-variable set (see RateGate). The accumulator map is a
@@ -142,7 +106,7 @@ struct FlowletState {
   std::atomic<bool> complete{false};
   // Loader bookkeeping.
   std::atomic<uint64_t> splits_outstanding{0};
-  // Reduce staging (kind == kReduce), one per sub-partition.
+  // Reduce staging (kind == kReduce), one per sub-partition (kReduceStages).
   std::vector<std::unique_ptr<ReduceStage>> stages;
   std::atomic<uint32_t> reduce_tasks_outstanding{0};
   // Partial-reduce accumulators (kind == kPartialReduce).
@@ -292,6 +256,8 @@ class NodeRuntime {
   void fire_reduce(FlowletId flowlet);
   void run_reduce_stage(FlowletId flowlet, uint32_t stage_index,
                         uint32_t attempt = 0);
+  // Un-charges the stage's buffered records and deletes its spill runs.
+  void release_stage(internal::ReduceStage& stage);
   void flowlet_locally_complete(FlowletId flowlet);
   void broadcast_complete(FlowletId flowlet);
   void flush_combine_stripe(internal::JobState& job, EdgeId edge_id,

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "storage/run_file.h"
+#include "storage/sorted_run.h"
 
 namespace hamr::mapreduce {
 
@@ -112,7 +113,6 @@ class MapCollector : public MrContext {
         final_path = runs_[p][0];  // single run: no extra merge pass
       } else {
         storage::merge_runs(&node_->store(), runs_[p], final_path, merge_fan_in_);
-        for (const std::string& run : runs_[p]) (void)node_->store().remove(run);
       }
       const uint64_t bytes = node_->store().file_size(final_path).value_or(0);
       outputs.emplace_back(p, final_path, bytes);
@@ -385,48 +385,11 @@ void JobRunner::run_reduce_task(const MrJobConfig& config, JobScratch& job,
   // Merge + group + reduce.
   OutputCollector out(my_node, cluster_.size());
   std::unique_ptr<Reducer> reducer = reducer_factory();
-  if (!local_runs.empty()) {
-    std::vector<storage::RunReader> readers;
-    readers.reserve(local_runs.size());
-    for (const std::string& path : local_runs) readers.emplace_back(&node.store(), path);
-
-    struct Head {
-      std::string_view key, value;
-      size_t idx;
-      bool done = true;
-    };
-    std::vector<Head> heads(readers.size());
-    for (size_t i = 0; i < readers.size(); ++i) {
-      heads[i].idx = i;
-      heads[i].done = !readers[i].next(&heads[i].key, &heads[i].value);
-    }
-    std::string current_key;
-    std::vector<std::string_view> values;
-    bool have_group = false;
-    auto flush = [&] {
-      if (have_group) {
-        reducer->reduce(current_key, values, out);
-        values.clear();
-        have_group = false;
-      }
-    };
-    for (;;) {
-      Head* best = nullptr;
-      for (auto& h : heads) {
-        if (h.done) continue;
-        if (best == nullptr || h.key < best->key) best = &h;
-      }
-      if (best == nullptr) break;
-      if (!have_group || best->key != current_key) {
-        flush();
-        current_key.assign(best->key);
-        have_group = true;
-      }
-      values.push_back(best->value);
-      best->done = !readers[best->idx].next(&best->key, &best->value);
-    }
-    flush();
-  }
+  storage::RunMerge merge = storage::open_merge(&node.store(), local_runs);
+  storage::for_each_key_group(
+      merge, [&](std::string_view key, const std::vector<std::string_view>& values) {
+        reducer->reduce(key, values, out);
+      });
 
   // Output to DFS (text part file), even when empty - Hadoop writes empty
   // part files too, and chained jobs stat them.

@@ -1,23 +1,15 @@
 #include "sort/sort.h"
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
-#include "common/arena.h"
 #include "common/logging.h"
-#include "engine/runtime.h"
 #include "serde/batch.h"
-#include "sort/merge.h"
-#include "storage/run_file.h"
+#include "storage/sorted_run.h"
 
 namespace hamr::sort {
 
 namespace {
-
-using engine::internal::key_prefix;
-using Rec = engine::internal::ReduceStage::Rec;
 
 // Streams the node-local framed input file in record chunks. One split per
 // node covers the whole file; the cursor is the byte offset into it.
@@ -62,49 +54,34 @@ class SortRunLoader : public engine::LoaderFlowlet {
   std::string data_;  // stable: chunks hand out views into it within a call
 };
 
-// Receives this node's key range, staging records through an arena + prefix
-// index, spilling sorted runs past the budget, and loser-tree merging
-// everything into the node's output partition at finish.
+// Receives this node's key range, staging records in a RunBuffer, spilling
+// sorted runs past the budget, and merging everything into the node's output
+// partition at finish.
 class SortSink : public engine::MapFlowlet {
  public:
   explicit SortSink(SortSpec spec) : spec_(std::move(spec)) {}
 
   void process(const engine::KvPair& record, engine::Context& ctx) override {
-    // Stage under the sink lock: one arena bump holds the record, the index
-    // entry caches the 8-byte key prefix so run sorts are mostly integer
-    // compares. Spill state is moved out wholesale while locked and sorted /
-    // written outside the lock.
-    Arena spill_arena;
-    std::vector<Rec> to_spill;
+    // Stage under the sink lock; a full buffer is moved out wholesale while
+    // locked and sorted / written outside the lock. The budget charges each
+    // record its bytes plus its index entry.
+    storage::RunBuffer to_spill;
     std::string spill_file;
     {
       std::lock_guard<std::mutex> lock(mu_);
       wire_metrics(ctx);
-      char* data = arena_.alloc(record.key.size() + record.value.size());
-      std::memcpy(data, record.key.data(), record.key.size());
-      std::memcpy(data + record.key.size(), record.value.data(),
-                  record.value.size());
-      Rec rec;
-      rec.prefix = key_prefix(record.key);
-      rec.key_len = static_cast<uint32_t>(record.key.size());
-      rec.value_len = static_cast<uint32_t>(record.value.size());
-      rec.data = data;
-      index_.push_back(rec);
-      bytes_ += record.key.size() + record.value.size() + sizeof(Rec);
-      if (bytes_ >= spec_.memory_budget_bytes) {
-        spill_arena = std::move(arena_);
-        arena_ = Arena(arena_gauge_);
-        to_spill.swap(index_);
-        bytes_ = 0;
-        spill_file = spill_path(ctx.node(), next_spill_++);
+      run_.add(record.key, record.value);
+      if (run_.payload_bytes() + run_.records() * sizeof(storage::RunBuffer::Rec) >=
+          spec_.memory_budget_bytes) {
+        to_spill = run_.take();
+        spill_file = spill_path(ctx.node(), spill_paths_.size());
         spill_paths_.push_back(spill_file);
       }
     }
-    if (!to_spill.empty()) {
-      std::stable_sort(to_spill.begin(), to_spill.end(),
-                       engine::internal::reduce_rec_less);
+    if (to_spill.records() != 0) {
+      to_spill.sort();
       storage::RunWriter writer(&ctx.local_store(), spill_file);
-      for (const Rec& r : to_spill) writer.add(r.key(), r.value());
+      to_spill.write_to(writer);
       writer.close();
       spill_runs_c_->inc();
     }
@@ -112,54 +89,19 @@ class SortSink : public engine::MapFlowlet {
 
   void finish(engine::Context& ctx) override {
     // Upstream complete: no process() can race this. Sort the in-memory
-    // remainder and merge it with the spill runs through the loser tree.
+    // remainder and merge it after the spill runs.
     {
       std::lock_guard<std::mutex> lock(mu_);
       wire_metrics(ctx);  // a node may receive zero records for its range
     }
-    std::stable_sort(index_.begin(), index_.end(),
-                     engine::internal::reduce_rec_less);
-
-    struct Source {
-      std::unique_ptr<storage::RunReader> reader;  // null => memory source
-      const std::vector<Rec>* mem = nullptr;
-      size_t mem_pos = 0;
-      bool next(std::string_view* key, std::string_view* value) {
-        if (reader) return reader->next(key, value);
-        if (mem_pos >= mem->size()) return false;
-        const Rec& r = (*mem)[mem_pos++];
-        *key = r.key();
-        *value = r.value();
-        return true;
-      }
-    };
-    std::vector<Source> sources;
-    sources.reserve(spill_paths_.size() + 1);
-    for (const std::string& path : spill_paths_) {
-      Source s;
-      s.reader = std::make_unique<storage::RunReader>(&ctx.local_store(), path);
-      sources.push_back(std::move(s));
-    }
-    Source mem;
-    mem.mem = &index_;
-    sources.push_back(std::move(mem));
-    merge_fan_in_h_->observe(sources.size());
-
-    LoserTree<Source> tree(std::move(sources));
-    storage::RunWriter out(&ctx.local_store(),
-                           spec_.output_prefix + "/p" + std::to_string(ctx.node()));
-    std::string_view key, value;
-    uint64_t records = 0;
-    while (tree.next(&key, &value)) {
-      out.add(key, value);
-      ++records;
-    }
-    out.close();
+    run_.sort();
+    merge_fan_in_h_->observe(spill_paths_.size() + 1);
+    const uint64_t records = storage::merge_into(
+        &ctx.local_store(), spill_paths_, &run_,
+        spec_.output_prefix + "/p" + std::to_string(ctx.node()));
     ctx.metrics().counter("sort.records_out")->add(records);
 
-    index_.clear();
-    index_.shrink_to_fit();
-    arena_.clear();
+    run_.clear();
     for (const std::string& path : spill_paths_) {
       (void)ctx.local_store().remove(path);
     }
@@ -170,13 +112,11 @@ class SortSink : public engine::MapFlowlet {
   // Called under mu_. Bins can arrive and be processed before this node's
   // activate_job has run the flowlet's start() hook (cross-node activation
   // is not barriered), so the metric wiring happens lazily on the first
-  // record instead of in start() - and the arena is NEVER reassigned once a
+  // record instead of in start() - and the buffer is NEVER reassigned once a
   // record has been staged into it.
   void wire_metrics(engine::Context& ctx) {
-    if (wired_) return;
-    wired_ = true;
-    arena_gauge_ = ctx.metrics().gauge("engine.arena_bytes");
-    arena_ = Arena(arena_gauge_);  // safe: nothing staged yet
+    if (spill_runs_c_ != nullptr) return;
+    run_ = storage::RunBuffer(ctx.metrics().gauge("engine.arena_bytes"));
     spill_runs_c_ = ctx.metrics().counter("sort.spill_runs");
     merge_fan_in_h_ = ctx.metrics().histogram("sort.merge_fan_in");
   }
@@ -187,16 +127,11 @@ class SortSink : public engine::MapFlowlet {
   }
 
   SortSpec spec_;
-  bool wired_ = false;
-  Gauge* arena_gauge_ = nullptr;
   Counter* spill_runs_c_ = nullptr;
   Histogram* merge_fan_in_h_ = nullptr;
   std::mutex mu_;
-  Arena arena_;
-  std::vector<Rec> index_;
-  uint64_t bytes_ = 0;
+  storage::RunBuffer run_;
   std::vector<std::string> spill_paths_;
-  uint64_t next_spill_ = 0;
 };
 
 }  // namespace

@@ -6,10 +6,10 @@
 //
 // The loader streams a node-local framed-record file in chunks; the edge
 // routes each record by a RangePartitioner built from a seeded sampling pass
-// over the inputs; the sink stages arrivals in an arena with 8-byte
-// key-prefix index entries, spills sorted runs past the memory budget, and
-// on upstream completion merges spills + memory through a loser tree into
-// one sorted run file per node. Because partition i's keys all precede
+// over the inputs; the sink stages arrivals in a storage::RunBuffer, spills
+// sorted runs past the memory budget, and on upstream completion merges
+// spills + memory through storage's loser tree into one sorted run file per
+// node. Because partition i's keys all precede
 // partition i+1's, concatenating the per-node outputs in node order is the
 // globally sorted dataset.
 //

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "serde/serde.h"
+#include "storage/sorted_run.h"
 
 namespace hamr::storage {
 
@@ -53,77 +54,26 @@ bool RunReader::next(std::string_view* key, std::string_view* value) {
   return true;
 }
 
-namespace {
-
-uint64_t merge_runs_once(FileStore* store, const std::vector<std::string>& run_paths,
-                         const std::string& out_path) {
-  struct Head {
-    std::string_view key;
-    std::string_view value;
-    size_t run;
-  };
-  struct HeadGreater {
-    bool operator()(const Head& a, const Head& b) const {
-      if (a.key != b.key) return a.key > b.key;
-      return a.run > b.run;  // stability across runs
-    }
-  };
-
-  std::vector<RunReader> readers;
-  readers.reserve(run_paths.size());
-  for (const auto& path : run_paths) readers.emplace_back(store, path);
-
-  std::priority_queue<Head, std::vector<Head>, HeadGreater> heap;
-  for (size_t i = 0; i < readers.size(); ++i) {
-    std::string_view k, v;
-    if (readers[i].next(&k, &v)) heap.push({k, v, i});
-  }
-
-  RunWriter out(store, out_path);
-  uint64_t written = 0;
-  while (!heap.empty()) {
-    Head head = heap.top();
-    heap.pop();
-    out.add(head.key, head.value);
-    ++written;
-    std::string_view k, v;
-    if (readers[head.run].next(&k, &v)) heap.push({k, v, head.run});
-  }
-  out.close();
-  return written;
-}
-
-}  // namespace
-
 uint64_t merge_runs(FileStore* store, const std::vector<std::string>& run_paths,
                     const std::string& out_path, size_t max_fan_in) {
-  if (max_fan_in < 2 || run_paths.size() <= max_fan_in) {
-    return merge_runs_once(store, run_paths, out_path);
-  }
   // Bounded fan-in: merge groups into intermediate files, repeat.
   std::vector<std::string> current = run_paths;
-  uint64_t pass = 0;
-  while (current.size() > max_fan_in) {
+  for (uint64_t pass = 0; max_fan_in >= 2 && current.size() > max_fan_in; ++pass) {
     std::vector<std::string> next;
     for (size_t i = 0; i < current.size(); i += max_fan_in) {
       const size_t end = std::min(i + max_fan_in, current.size());
-      std::vector<std::string> group(current.begin() + i, current.begin() + end);
-      if (group.size() == 1) {
-        next.push_back(group[0]);
+      if (end - i == 1) {
+        next.push_back(current[i]);
         continue;
       }
-      const std::string intermediate =
-          out_path + ".merge" + std::to_string(pass) + "_" + std::to_string(i);
-      merge_runs_once(store, group, intermediate);
-      for (const std::string& path : group) {
-        if (path != intermediate) (void)store->remove(path);
-      }
-      next.push_back(intermediate);
+      const std::vector<std::string> group(current.begin() + i, current.begin() + end);
+      next.push_back(out_path + ".merge" + std::to_string(pass) + "_" + std::to_string(i));
+      merge_into(store, group, nullptr, next.back());
+      for (const std::string& path : group) (void)store->remove(path);
     }
     current = std::move(next);
-    ++pass;
   }
-  const uint64_t written = merge_runs_once(store, current, out_path);
+  const uint64_t written = merge_into(store, current, nullptr, out_path);
   for (const std::string& path : current) {
     if (path != out_path) (void)store->remove(path);
   }

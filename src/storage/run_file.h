@@ -4,12 +4,12 @@
 // A run file is a sequence of length-prefixed (key, value) records whose keys
 // are non-decreasing. RunWriter enforces the ordering in debug builds;
 // RunReader streams records back without materializing the file as records;
-// merge_runs k-way merges many runs into one (paying device cost for both the
-// reads and the writes, exactly like Hadoop's multi-pass merge).
+// merge_runs k-way merges many runs into one through the loser tree of
+// storage/sorted_run.h (paying device cost for both the reads and the writes,
+// exactly like Hadoop's multi-pass merge).
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,13 +18,6 @@
 #include "storage/file_store.h"
 
 namespace hamr::storage {
-
-struct KvRecord {
-  std::string key;
-  std::string value;
-
-  bool operator==(const KvRecord&) const = default;
-};
 
 // Streams sorted records into an in-memory buffer and flushes the final file
 // once on close() so device cost is charged for the file's full size exactly
@@ -66,18 +59,17 @@ class RunReader {
   // keep them.
   bool next(std::string_view* key, std::string_view* value);
 
-  bool done() const { return pos_ >= data_.size(); }
-
  private:
   std::string data_;
   size_t pos_ = 0;
 };
 
-// K-way merges sorted runs into `out_path`. Stable on equal keys (run order).
-// Returns the number of records written. `max_fan_in` (>= 2) bounds how many
-// runs merge at once, like Hadoop's io.sort.factor: with more runs than the
-// fan-in, intermediate merge files are written and re-read (extra disk
-// passes - the behavior the paper's in-memory engine avoids). 0 = unlimited.
+// K-way merges sorted runs into `out_path` and deletes the input runs.
+// Stable on equal keys (run order). Returns the number of records written.
+// `max_fan_in` (>= 2) bounds how many runs merge at once, like Hadoop's
+// io.sort.factor: with more runs than the fan-in, intermediate merge files
+// are written and re-read (extra disk passes - the behavior the paper's
+// in-memory engine avoids). 0 = unlimited.
 uint64_t merge_runs(FileStore* store, const std::vector<std::string>& run_paths,
                     const std::string& out_path, size_t max_fan_in = 0);
 

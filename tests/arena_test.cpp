@@ -15,7 +15,6 @@
 #include "common/metrics.h"
 #include "common/pool.h"
 #include "engine/flat_table.h"
-#include "engine/runtime.h"
 #include "engine/scheduler.h"
 
 namespace hamr {
@@ -142,27 +141,6 @@ TEST(FlatAccTable, EmptyKeyAndBinaryKeysWork) {
   EXPECT_EQ(table.find_or_insert(""), "empty");
   EXPECT_EQ(table.find_or_insert(binary), "bin");
   EXPECT_EQ(table.size(), 2u);
-}
-
-// --- key prefix / reduce record ordering ------------------------------------
-
-TEST(KeyPrefix, OrdersLikeLexicographicCompare) {
-  const std::vector<std::string> keys = {
-      "", "a", "ab", "abcdefgh", "abcdefghZ", "abcdefghz", "b", "zzzzzzzzz",
-      std::string("\x00", 1), std::string("\xff\x01", 2)};
-  for (const std::string& x : keys) {
-    for (const std::string& y : keys) {
-      const uint64_t px = engine::internal::key_prefix(x);
-      const uint64_t py = engine::internal::key_prefix(y);
-      if (px < py) {
-        EXPECT_LT(x, y) << "prefix order disagrees for '" << x << "' vs '" << y;
-      } else if (px > py) {
-        EXPECT_GT(x, y) << "prefix order disagrees for '" << x << "' vs '" << y;
-      }
-      // Equal prefixes: reduce_rec_less falls back to full key compare,
-      // nothing to check here.
-    }
-  }
 }
 
 // --- BufferPool -------------------------------------------------------------

@@ -810,6 +810,15 @@ TEST(Engine, SecondRunWhileFirstInFlightThrowsLogicError) {
   env.engine.run(pr.graph, synthetic_inputs(pr.loader, 1, 4));
 }
 
+// A zero receive budget could never admit a bin (the delivery thread would
+// block on the first one), so the engine refuses it at construction.
+TEST(Engine, ZeroBinQueueBudgetRejected) {
+  cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
+  EngineConfig config = EngineConfig::fast();
+  config.bin_queue_bytes = 0;
+  EXPECT_THROW(Engine(cluster, config), std::invalid_argument);
+}
+
 TEST(Engine, FailedRunReleasesSlotForNextJob) {
   Env env(1);
   FlowletGraph bad;

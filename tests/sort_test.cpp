@@ -1,7 +1,7 @@
 // Tests for the distributed sort subsystem (src/sort/): range partitioner
-// boundary behavior on skewed / duplicate-heavy / empty inputs, the k-way
-// loser-tree merge against a reference, the batch serde codecs, and the
-// end-to-end sort with spills over the zero-copy reliable shuffle.
+// boundary behavior on skewed / duplicate-heavy / empty inputs, the batch
+// serde codecs, and the end-to-end sort with spills over the zero-copy
+// reliable shuffle. The loser-tree merge is tested in storage_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "query/row.h"
 #include "serde/batch.h"
-#include "sort/merge.h"
 #include "sort/partitioner.h"
 #include "sort/sort.h"
 
@@ -135,93 +134,6 @@ TEST(RangePartitioner, EdgePartitionerClampsIntoNodeRange) {
     EXPECT_LT(n, 3u);
     EXPECT_GE(n, prev);
     prev = n;
-  }
-}
-
-// --- LoserTree --------------------------------------------------------------
-
-namespace {
-
-// A sorted in-memory run exposing the merge-source contract.
-struct VecSource {
-  std::vector<std::pair<std::string, std::string>> recs;
-  size_t pos = 0;
-  bool next(std::string_view* key, std::string_view* value) {
-    if (pos >= recs.size()) return false;
-    *key = recs[pos].first;
-    *value = recs[pos].second;
-    ++pos;
-    return true;
-  }
-};
-
-std::vector<std::pair<std::string, std::string>> drain(
-    sort::LoserTree<VecSource>& tree) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::string_view key, value;
-  while (tree.next(&key, &value)) out.emplace_back(key, value);
-  return out;
-}
-
-}  // namespace
-
-TEST(LoserTree, MergesSeededRunsLikeReference) {
-  Rng rng(31);
-  std::vector<VecSource> sources(7);
-  std::vector<std::pair<std::string, std::string>> all;
-  for (auto& src : sources) {
-    const size_t n = rng.next_below(200);
-    for (size_t i = 0; i < n; ++i) {
-      src.recs.emplace_back("k" + std::to_string(rng.next_below(100000)),
-                            "v" + std::to_string(i));
-    }
-    std::sort(src.recs.begin(), src.recs.end());
-    all.insert(all.end(), src.recs.begin(), src.recs.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  sort::LoserTree<VecSource> tree(std::move(sources));
-  const auto merged = drain(tree);
-  ASSERT_EQ(merged.size(), all.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].first, all[i].first) << "at " << i;
-  }
-}
-
-TEST(LoserTree, TiesBreakTowardSmallerSourceIndex) {
-  std::vector<VecSource> sources(3);
-  sources[0].recs = {{"k", "s0-a"}, {"k", "s0-b"}};
-  sources[1].recs = {{"k", "s1-a"}};
-  sources[2].recs = {{"a", "s2-a"}, {"k", "s2-a"}};
-  sort::LoserTree<VecSource> tree(std::move(sources));
-  const auto merged = drain(tree);
-  ASSERT_EQ(merged.size(), 5u);
-  EXPECT_EQ(merged[0].second, "s2-a");  // key "a"
-  EXPECT_EQ(merged[1].second, "s0-a");
-  EXPECT_EQ(merged[2].second, "s0-b");
-  EXPECT_EQ(merged[3].second, "s1-a");
-  EXPECT_EQ(merged[4].second, "s2-a");
-}
-
-TEST(LoserTree, HandlesSingleEmptyAndNoSources) {
-  {
-    std::vector<VecSource> one(1);
-    one[0].recs = {{"a", "1"}, {"b", "2"}};
-    sort::LoserTree<VecSource> tree(std::move(one));
-    EXPECT_EQ(drain(tree).size(), 2u);
-  }
-  {
-    std::vector<VecSource> mixed(4);  // all but one empty
-    mixed[2].recs = {{"x", "1"}};
-    sort::LoserTree<VecSource> tree(std::move(mixed));
-    const auto merged = drain(tree);
-    ASSERT_EQ(merged.size(), 1u);
-    EXPECT_EQ(merged[0].first, "x");
-  }
-  {
-    sort::LoserTree<VecSource> tree({});
-    std::string_view k, v;
-    EXPECT_FALSE(tree.next(&k, &v));
   }
 }
 

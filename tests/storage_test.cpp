@@ -7,6 +7,7 @@
 #include "storage/device.h"
 #include "storage/file_store.h"
 #include "storage/run_file.h"
+#include "storage/sorted_run.h"
 
 using namespace hamr;
 using namespace hamr::storage;
@@ -234,6 +235,230 @@ TEST(RunFile, MergeEqualsSortedConcat) {
       ++idx;
     }
     EXPECT_EQ(idx, all.size());
+  }
+}
+
+// --- sorted runs: LoserTree, key prefix, RunBuffer --------------------------------------------------------------
+
+namespace {
+
+// A sorted in-memory run exposing the merge-source contract.
+struct VecSource {
+  std::vector<std::pair<std::string, std::string>> recs;
+  size_t pos = 0;
+  bool next(std::string_view* key, std::string_view* value) {
+    if (pos >= recs.size()) return false;
+    *key = recs[pos].first;
+    *value = recs[pos].second;
+    ++pos;
+    return true;
+  }
+};
+
+std::vector<std::pair<std::string, std::string>> drain(
+    LoserTree<VecSource>& tree) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::string_view key, value;
+  while (tree.next(&key, &value)) out.emplace_back(key, value);
+  return out;
+}
+
+}  // namespace
+
+TEST(LoserTree, MergesSeededRunsLikeReference) {
+  Rng rng(31);
+  std::vector<VecSource> sources(7);
+  std::vector<std::pair<std::string, std::string>> all;
+  for (auto& src : sources) {
+    const size_t n = rng.next_below(200);
+    for (size_t i = 0; i < n; ++i) {
+      src.recs.emplace_back("k" + std::to_string(rng.next_below(100000)),
+                            "v" + std::to_string(i));
+    }
+    std::sort(src.recs.begin(), src.recs.end());
+    all.insert(all.end(), src.recs.begin(), src.recs.end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  LoserTree<VecSource> tree(std::move(sources));
+  const auto merged = drain(tree);
+  ASSERT_EQ(merged.size(), all.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].first, all[i].first) << "at " << i;
+  }
+}
+
+TEST(LoserTree, TiesBreakTowardSmallerSourceIndex) {
+  std::vector<VecSource> sources(3);
+  sources[0].recs = {{"k", "s0-a"}, {"k", "s0-b"}};
+  sources[1].recs = {{"k", "s1-a"}};
+  sources[2].recs = {{"a", "s2-a"}, {"k", "s2-a"}};
+  LoserTree<VecSource> tree(std::move(sources));
+  const auto merged = drain(tree);
+  ASSERT_EQ(merged.size(), 5u);
+  EXPECT_EQ(merged[0].second, "s2-a");  // key "a"
+  EXPECT_EQ(merged[1].second, "s0-a");
+  EXPECT_EQ(merged[2].second, "s0-b");
+  EXPECT_EQ(merged[3].second, "s1-a");
+  EXPECT_EQ(merged[4].second, "s2-a");
+}
+
+TEST(LoserTree, HandlesSingleEmptyAndNoSources) {
+  {
+    std::vector<VecSource> one(1);
+    one[0].recs = {{"a", "1"}, {"b", "2"}};
+    LoserTree<VecSource> tree(std::move(one));
+    EXPECT_EQ(drain(tree).size(), 2u);
+  }
+  {
+    std::vector<VecSource> mixed(4);  // all but one empty
+    mixed[2].recs = {{"x", "1"}};
+    LoserTree<VecSource> tree(std::move(mixed));
+    const auto merged = drain(tree);
+    ASSERT_EQ(merged.size(), 1u);
+    EXPECT_EQ(merged[0].first, "x");
+  }
+  {
+    LoserTree<VecSource> tree({});
+    std::string_view k, v;
+    EXPECT_FALSE(tree.next(&k, &v));
+  }
+}
+
+// --- key prefix / reduce record ordering ------------------------------------
+
+TEST(KeyPrefix, OrdersLikeLexicographicCompare) {
+  const std::vector<std::string> keys = {
+      "", "a", "ab", "abcdefgh", "abcdefghZ", "abcdefghz", "b", "zzzzzzzzz",
+      std::string("\x00", 1), std::string("\xff\x01", 2)};
+  for (const std::string& x : keys) {
+    for (const std::string& y : keys) {
+      const uint64_t px = key_prefix(x);
+      const uint64_t py = key_prefix(y);
+      if (px < py) {
+        EXPECT_LT(x, y) << "prefix order disagrees for '" << x << "' vs '" << y;
+      } else if (px > py) {
+        EXPECT_GT(x, y) << "prefix order disagrees for '" << x << "' vs '" << y;
+      }
+      // Equal prefixes: RunBuffer::sort falls back to full key compare,
+      // nothing to check here.
+    }
+  }
+}
+
+namespace {
+
+using Records = std::vector<std::pair<std::string, std::string>>;
+
+// Keys that stress the prefix index: duplicates, keys sharing their first 8
+// bytes, keys shorter than 8 bytes, and embedded NULs ("ab" and "ab\0" have
+// equal prefixes but differ as keys).
+Records hostile_records(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  Records out;
+  for (size_t i = 0; i < n; ++i) {
+    std::string key;
+    switch (rng.next_below(4)) {
+      case 0:
+        key = "k" + std::to_string(rng.next_below(20));
+        break;
+      case 1:
+        key = "abcdefgh" + std::to_string(rng.next_below(50));
+        break;
+      case 2:
+        key = "ab" + std::string(rng.next_below(3), '\0');
+        break;
+      default:
+        key = std::string(8, '\0') + std::string(rng.next_below(3), '\0') +
+              static_cast<char>(rng.next_below(2));
+        break;
+    }
+    out.emplace_back(std::move(key), "v" + std::to_string(i));
+  }
+  return out;
+}
+
+Records read_run(const FileStore& store, const std::string& path) {
+  Records out;
+  RunReader r(&store, path);
+  std::string_view k, v;
+  while (r.next(&k, &v)) out.emplace_back(k, v);
+  return out;
+}
+
+}  // namespace
+
+// Differential: spilling at any budget and merging the runs plus the memory
+// remainder equals a stable sort by key, through the loser tree and through
+// merge_runs at every fan-in; grouping the merge equals grouping the
+// reference.
+TEST(RunBuffer, SpilledMergeMatchesStableSortAtEveryBudget) {
+  for (uint64_t seed : {1, 2, 3}) {
+    const Records input = hostile_records(seed, 600);
+    Records want = input;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (uint64_t budget : {64ull, 500ull, 4096ull, 1ull << 30}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " budget " + std::to_string(budget));
+      Gauge gauge;
+      FileStore store;
+      std::vector<std::string> runs;
+      {
+        RunBuffer buffer(&gauge);
+        for (const auto& [k, v] : input) {
+          buffer.add(k, v);
+          if (buffer.payload_bytes() < budget) continue;
+          RunBuffer full = buffer.take();
+          EXPECT_EQ(buffer.records(), 0u);
+          EXPECT_EQ(buffer.payload_bytes(), 0u);
+          full.sort();
+          runs.push_back("run" + std::to_string(runs.size()));
+          RunWriter w(&store, runs.back());
+          full.write_to(w);
+          w.close();
+        }
+        buffer.sort();
+
+        RunMerge merge = open_merge(&store, runs, &buffer);
+        Records got;
+        std::string_view k, v;
+        while (merge.next(&k, &v)) got.emplace_back(k, v);
+        EXPECT_EQ(got, want);
+
+        std::vector<std::pair<std::string, std::vector<std::string>>> groups, want_groups;
+        for (const auto& [key, value] : want) {
+          if (want_groups.empty() || want_groups.back().first != key) {
+            want_groups.push_back({key, {}});
+          }
+          want_groups.back().second.push_back(value);
+        }
+        RunMerge regroup = open_merge(&store, runs, &buffer);
+        for_each_key_group(regroup, [&](std::string_view key,
+                                        const std::vector<std::string_view>& values) {
+          groups.push_back({std::string(key), {values.begin(), values.end()}});
+        });
+        EXPECT_EQ(groups, want_groups);
+
+        RunWriter w(&store, "mem");
+        buffer.write_to(w);
+        w.close();
+        buffer.clear();
+        EXPECT_EQ(gauge.get(), 0);
+      }
+      runs.push_back("mem");
+      // merge_runs deletes the inputs of intermediate passes, so each fan-in
+      // merges its own copies.
+      for (size_t fan_in : {2, 3, 0}) {
+        std::vector<std::string> copies;
+        for (const std::string& run : runs) {
+          copies.push_back(run + "_f" + std::to_string(fan_in));
+          store.write_file(copies.back(), store.read_file(run).value());
+        }
+        const std::string out = "merged_f" + std::to_string(fan_in);
+        EXPECT_EQ(merge_runs(&store, copies, out, fan_in), want.size());
+        EXPECT_EQ(read_run(store, out), want) << "fan-in " << fan_in;
+      }
+    }
   }
 }
 
