@@ -42,7 +42,7 @@ const char* kCategories[] = {"electronics", "grocery",  "apparel",
 
 // store_sales(ss_item_sk, ss_customer_sk, ss_quantity, ss_sales_price) and
 // item(i_item_sk, i_category, i_price). Prices sit on the 1/16 grid so
-// distributed float sums are exact in any fold order (see testgen.h).
+// distributed float sums are exact in any fold order (see tests/query_testgen.h).
 Catalog make_catalog(uint64_t sales_rows, uint64_t item_rows, uint64_t seed) {
   Rng rng(seed);
   Catalog catalog;

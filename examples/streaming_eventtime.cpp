@@ -5,8 +5,8 @@
 // it down gracefully (drain) - open windows flush and the stream completes
 // like a batch job, its sink output in the ticket payload. Contrast with
 // examples/streaming_trending.cpp, which drives run_streaming directly on
-// one engine with processing-time windows; this one gets *event-time*
-// tumbling windows, watermarks, and the service lifecycle (DESIGN.md §12).
+// one engine with windows over ingestion time; this one adds the service
+// lifecycle around the same event-time windows (DESIGN.md §12).
 //
 // Run:  ./examples/streaming_eventtime [--seconds=2] [--window_ms=50]
 //       [--nodes=4] [--lanes=2]

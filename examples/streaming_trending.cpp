@@ -2,11 +2,15 @@
 // "streaming processing model subsystem" (Fig. 1) and Lambda-architecture
 // claim (one engine, same programming model, batch AND streaming).
 //
-// A RateLimitedSource on every node synthesizes Zipfian "social media" posts;
-// a windowed partial reduce counts word occurrences; every window flush the
-// counts flow to a trending sink that keeps a running top-k per node. After
-// the configured duration the driver stops the sources and completion
-// cascades exactly like a batch job.
+// A paced, unbounded GeneratorSource on every node synthesizes the words of
+// Zipfian "social media" posts. Each word is stamped with its ingestion
+// time (event i at i / rate seconds, the pace the source runs at), so the
+// stream layer's event-time tumbling windows are wall-clock windows over
+// ingestion: the source's watermark closes each window as the stream
+// passes its end. Closed windows flow to a trending sink that keeps each
+// word's peak single-window count. After the configured duration the driver
+// stops the sources, the final watermark closes the open windows, and
+// completion cascades exactly like a batch job.
 //
 // Run:  ./examples/streaming_trending [--seconds=3] [--window_ms=500]
 //       [--rate=20000]
@@ -18,63 +22,25 @@
 #include "apps/counting.h"
 #include "common/flags.h"
 #include "common/random.h"
-#include "engine/loaders.h"
-#include "gen/generators.h"
+#include "stream/source.h"
+#include "stream/stream_service.h"
 
 using namespace hamr;
 
 namespace {
 
-// Synthesizes whitespace-separated Zipfian words at a bounded rate.
-class PostSource : public engine::RateLimitedSource {
- public:
-  explicit PostSource(double posts_per_sec)
-      : RateLimitedSource(posts_per_sec, /*records_per_chunk=*/256),
-        zipf_(5000, 0.99) {}
+constexpr uint64_t kWordsPerPost = 6;
 
-  void make_record(const engine::InputSplit& split, uint64_t index,
-                   std::string* key, std::string* value) override {
-    // Deterministic per-split stream: seed from the split's node.
-    Rng rng(split.preferred_node * 977 + index);
-    *key = std::to_string(index);
-    for (int w = 0; w < 6; ++w) {
-      if (w > 0) value->push_back(' ');
-      *value += "topic" + std::to_string(zipf_.sample(rng));
-    }
-  }
-
- private:
-  Zipf zipf_;
-};
-
-class TokenizePosts : public engine::MapFlowlet {
- public:
-  void process(const engine::KvPair& record, engine::Context& ctx) override {
-    for (std::string_view word : apps::tokenize(record.value)) {
-      ctx.emit(0, word, "1");
-    }
-  }
-};
-
-// Windowed counter: the engine flushes the accumulator table downstream on
-// every punctuation (run_streaming's window_every), then on completion.
-class WindowCount : public engine::PartialReduceFlowlet {
- public:
-  void fold(std::string_view, std::string_view value, std::string& acc) override {
-    acc = std::to_string(apps::parse_count(acc) + apps::parse_count(value));
-  }
-};
-
-// Maintains a running top-k of (word -> max single-window count).
+// Maintains each word's peak single-window count; records arrive keyed by
+// (window end, word).
 class TrendingSink : public engine::MapFlowlet {
  public:
   void process(const engine::KvPair& record, engine::Context& ctx) override {
     (void)ctx;
     const uint64_t count = apps::parse_count(record.value);
     std::lock_guard<std::mutex> lock(mu_);
-    auto& best = peak_[std::string(record.key)];
+    auto& best = peak_[std::string(stream::window_key_user(record.key))];
     best = std::max(best, count);
-    ++windows_seen_;
   }
 
   void finish(engine::Context& ctx) override {
@@ -94,7 +60,6 @@ class TrendingSink : public engine::MapFlowlet {
  private:
   std::mutex mu_;
   std::map<std::string, uint64_t> peak_;
-  uint64_t windows_seen_ = 0;
 };
 
 }  // namespace
@@ -104,40 +69,43 @@ int main(int argc, char** argv) {
               "streaming_trending - windowed trending words on HAMR streaming\n"
               "  --nodes=N      cluster size (default 4)\n"
               "  --seconds=F    stream duration (default 3)\n"
-              "  --window_ms=N  window flush period (default 500)\n"
+              "  --window_ms=N  tumbling window over ingestion time (default 500)\n"
               "  --rate=N       posts/second per source (default 20000)");
 
   cluster::ClusterConfig cluster_cfg;
   cluster_cfg.num_nodes = static_cast<uint32_t>(flags.get_int("nodes", 4));
   apps::BenchEnv env = apps::BenchEnv::make(cluster_cfg);
 
-  const double rate = flags.get_double("rate", 20000);
-  engine::FlowletGraph graph;
-  const auto source = graph.add_loader(
-      "PostSource", [rate] { return std::make_unique<PostSource>(rate); });
-  const auto tokenize = graph.add_map(
-      "TokenizePosts", [] { return std::make_unique<TokenizePosts>(); });
-  const auto window = graph.add_partial_reduce(
-      "WindowCount", [] { return std::make_unique<WindowCount>(); });
-  const auto sink = graph.add_map(
-      "TrendingSink", [] { return std::make_unique<TrendingSink>(); });
-  graph.connect(source, tokenize, engine::local_edge());
-  graph.connect(tokenize, window);
-  graph.connect(window, sink);
+  // Six words per post: the source runs at six times the post rate, and
+  // event i is stamped i / words_per_sec seconds - its ingestion time.
+  const double words_per_sec =
+      flags.get_double("rate", 20000) * static_cast<double>(kWordsPerPost);
+  stream::GeneratorConfig gen;
+  gen.events_per_sec = words_per_sec;
+  gen.period_us = std::max<int64_t>(1, static_cast<int64_t>(1e6 / words_per_sec));
+  auto zipf = std::make_shared<const Zipf>(5000, 0.99);
+  gen.make = [zipf](uint64_t index, std::string* key, std::string* value) {
+    Rng rng(index);
+    *key = "topic" + std::to_string(zipf->sample(rng));
+    *value = "1";
+  };
 
-  engine::JobInputs inputs;
-  for (uint32_t n = 0; n < env.nodes(); ++n) {
-    engine::InputSplit split;
-    split.preferred_node = n;
-    inputs.add(source, split);
-  }
+  const auto window_ms = flags.get_int("window_ms", 500);
+  stream::StreamPipeline pipeline;
+  pipeline.source = [gen] { return std::make_unique<stream::GeneratorSource>(gen); };
+  pipeline.source_options.window.size_us = window_ms * 1000;
+  pipeline.fold = [](std::string_view, std::string_view value, std::string& acc) {
+    acc = std::to_string(apps::parse_count(acc) + apps::parse_count(value));
+  };
+  pipeline.sink = [] { return std::make_unique<TrendingSink>(); };
+  const service::JobWork work =
+      stream::StreamService::make_work(std::move(pipeline), env.nodes(), nullptr);
 
   const double seconds = flags.get_double("seconds", 3);
-  const auto window_ms = flags.get_int("window_ms", 500);
   std::printf("streaming for %.1f s with %lld ms windows...\n", seconds,
               static_cast<long long>(window_ms));
-  const auto result = env.engine->run_streaming(
-      graph, inputs, from_seconds(seconds), millis(window_ms));
+  const auto result = env.engine->run_streaming(work.graph, work.inputs,
+                                                from_seconds(seconds));
   std::printf("stream drained in %.3f s total; %llu records through the DAG\n",
               result.wall_seconds,
               static_cast<unsigned long long>(result.records_emitted));

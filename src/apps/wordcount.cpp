@@ -1,19 +1,12 @@
 #include "apps/wordcount.h"
 
-#include <charconv>
-
+#include "apps/counting.h"
 #include "engine/loaders.h"
 #include "ir/passes.h"
 
 namespace hamr::apps::wordcount {
 
 namespace {
-
-uint64_t parse_count(std::string_view s) {
-  uint64_t n = 0;
-  std::from_chars(s.data(), s.data() + s.size(), n);
-  return n;
-}
 
 // --- HAMR flowlets ---
 
@@ -22,35 +15,6 @@ class Splitter : public engine::MapFlowlet {
   void process(const engine::KvPair& record, engine::Context& ctx) override {
     for (std::string_view word : tokenize(record.value)) ctx.emit(0, word, "1");
   }
-};
-
-// Counts per word; the accumulator is a decimal string so output is directly
-// human-readable. Being a *sink*, it writes its node's final counts to the
-// local disk in finish().
-class Counter : public engine::PartialReduceFlowlet {
- public:
-  void fold(std::string_view key, std::string_view value, std::string& acc) override {
-    (void)key;
-    const uint64_t total = parse_count(acc) + parse_count(value);
-    acc = std::to_string(total);
-  }
-
-  void emit_result(std::string_view key, std::string_view acc,
-                   engine::Context& ctx) override {
-    (void)ctx;
-    out_.append(key);
-    out_.push_back('\t');
-    out_.append(acc);
-    out_.push_back('\n');
-  }
-
-  void finish(engine::Context& ctx) override {
-    ctx.local_store().write_file(
-        "out/wordcount/node" + std::to_string(ctx.node()), out_);
-  }
-
- private:
-  std::string out_;
 };
 
 // Full-reduce variant for the partial-vs-full ablation (A2).
@@ -90,16 +54,6 @@ class WcMapper : public mapreduce::Mapper {
   }
 };
 
-class WcReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::MrContext& ctx) override {
-    uint64_t total = 0;
-    for (std::string_view v : values) total += parse_count(v);
-    ctx.emit(key, std::to_string(total));
-  }
-};
-
 }  // namespace
 
 engine::FlowletGraph build_ir(bool combine, bool use_full_reduce) {
@@ -119,7 +73,7 @@ engine::FlowletGraph build_ir(bool combine, bool use_full_reduce) {
     graph.connect(split, count);
   } else {
     const auto count = graph.add_partial_reduce(
-        "Counter", [] { return std::make_unique<Counter>(); },
+        "Counter", [] { return std::make_unique<CountSink>("out/wordcount/"); },
         {"word", "count"});
     graph.flowlet(count).effect = true;
     graph.flowlet(count).combinable = combine;
@@ -165,13 +119,13 @@ RunInfo run_baseline(BenchEnv& env, const StagedInput& input, bool use_combiner)
   mapreduce::MrJobConfig config = env.mr_defaults;
   config.name = "wordcount";
   if (use_combiner) {
-    config.combiner = [] { return std::make_unique<WcReducer>(); };
+    config.combiner = [] { return std::make_unique<SumReducer>(); };
   }
   RunInfo info;
   info.baseline_result = env.mr->run(
       config, {input.dfs_path}, "/out/wordcount",
       [] { return std::make_unique<WcMapper>(); },
-      [] { return std::make_unique<WcReducer>(); });
+      [] { return std::make_unique<SumReducer>(); });
   info.seconds = info.baseline_result.wall_seconds;
   return info;
 }

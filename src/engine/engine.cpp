@@ -47,15 +47,15 @@ Engine::Engine(cluster::Cluster& cluster, EngineConfig config)
 Engine::~Engine() = default;
 
 JobResult Engine::run(const FlowletGraph& graph, const JobInputs& inputs) {
-  return run_internal(graph, inputs, Duration::zero(), Duration::zero());
+  return run_internal(graph, inputs, Duration::zero());
 }
 
 JobResult Engine::run_streaming(const FlowletGraph& graph, const JobInputs& inputs,
-                                Duration duration, Duration window_every) {
+                                Duration duration) {
   if (duration <= Duration::zero()) {
     throw std::invalid_argument("streaming duration must be positive");
   }
-  return run_internal(graph, inputs, duration, window_every);
+  return run_internal(graph, inputs, duration);
 }
 
 namespace {
@@ -82,7 +82,7 @@ class RunGuard {
 }  // namespace
 
 JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& inputs,
-                               Duration stream_duration, Duration window_every) {
+                               Duration stream_duration) {
   verify(graph);
   {
     std::lock_guard<std::mutex> lock(done_mu_);
@@ -151,11 +151,10 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
         fs->table.reset(make_table(config_.partial_reduce_stripes,
                                    config_.shared_update_rate_per_stripe,
                                    arena_gauge));
-        // Cached once so the batch fold hot path pays nothing for the
-        // event-time windowing hooks.
-        fs->stream_windowed =
-            static_cast<PartialReduceFlowlet*>(fs->instance.get())
-                ->stream_windowed();
+        // Cached once: a flowlet without a barrier pays one pointer test
+        // per bin for it.
+        fs->barrier = static_cast<PartialReduceFlowlet*>(fs->instance.get())
+                          ->prefix_barrier();
       }
       for (EdgeId eid : gnode.out_edges) {
         if (graph.edge(eid).options.combine) {
@@ -194,38 +193,17 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
     runtimes_[n]->activate_job(assignment[n]);
   }
 
-  // Streaming: punctuate windows until the duration elapses, then ask the
-  // sources to stop; completion cascades exactly as in batch.
+  // Streaming: run until the duration elapses, then ask the sources to stop;
+  // completion cascades exactly as in batch. request_cancel() and
+  // request_stream_drain() notify done_cv_, so a cancelled or drained job
+  // stops its sources promptly instead of sleeping out the duration.
   if (stream_duration > Duration::zero()) {
-    const TimePoint deadline = now() + stream_duration;
-    while (now() < deadline && !cancel_requested() &&
-           !drain_requested_.load(std::memory_order_relaxed)) {
-      const Duration nap = window_every > Duration::zero()
-                               ? std::min(window_every, deadline - now())
-                               : deadline - now();
-      {
-        // Interruptible nap: request_cancel() / request_stream_drain()
-        // notify done_cv_ so a cancelled or drained streaming job stops its
-        // sources promptly instead of sleeping out the remaining duration.
-        std::unique_lock<std::mutex> lock(done_mu_);
-        done_cv_.wait_for(lock, nap, [&] {
-          return cancel_requested_.load(std::memory_order_relaxed) ||
-                 drain_requested_.load(std::memory_order_relaxed);
-        });
-      }
-      if (now() >= deadline || cancel_requested() ||
-          drain_requested_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (window_every > Duration::zero()) {
-        for (uint32_t n = 0; n < num_nodes; ++n) {
-          for (FlowletId f = 0; f < graph.num_flowlets(); ++f) {
-            if (graph.flowlet(f).kind != FlowletKind::kPartialReduce) continue;
-            NodeRuntime* rt = runtimes_[n].get();
-            rt->submit_task([rt, f] { rt->flush_window(f); });
-          }
-        }
-      }
+    {
+      std::unique_lock<std::mutex> lock(done_mu_);
+      done_cv_.wait_for(lock, stream_duration, [&] {
+        return cancel_requested_.load(std::memory_order_relaxed) ||
+               drain_requested_.load(std::memory_order_relaxed);
+      });
     }
     for (auto& rt : runtimes_) rt->request_stream_stop();
   }
@@ -283,7 +261,7 @@ bool Engine::request_stream_drain() {
     drain_requested_.store(true, std::memory_order_relaxed);
   }
   // Unlike cancel, only the sources stop; all in-flight data still folds and
-  // the completion cascade flushes every remaining window downstream.
+  // the completion cascade flushes every remaining result downstream.
   for (auto& rt : runtimes_) rt->request_stream_stop();
   done_cv_.notify_all();
   return true;

@@ -64,10 +64,13 @@ class Engine {
 
   // Runs a streaming job: stream loaders (LoaderFlowlets that keep returning
   // true from load_chunk until Context::stream_stopping()) are stopped after
-  // `duration`; every partial-reduce flowlet's window is flushed downstream
-  // each `window_every` until then. Completion then cascades as in batch.
+  // `duration`, then completion cascades as in batch. The engine closes
+  // nothing on a clock: a partial reduce that emits mid-job does so through
+  // its processed-prefix barrier (PrefixBarrier), which src/stream/ drives
+  // with in-band progress marks - wall-clock results are event time over
+  // ingestion stamps.
   JobResult run_streaming(const FlowletGraph& graph, const JobInputs& inputs,
-                          Duration duration, Duration window_every);
+                          Duration duration);
 
   // Asks the currently running job (if any) to abort: loaders stop, queued
   // bins are drained without processing, reduce stages are skipped, and the
@@ -103,7 +106,7 @@ class Engine {
   friend class TaskContext;
 
   JobResult run_internal(const FlowletGraph& graph, const JobInputs& inputs,
-                         Duration stream_duration, Duration window_every);
+                         Duration stream_duration);
   void node_job_done(uint32_t node);
   NodeRuntime& runtime(uint32_t node) { return *runtimes_.at(node); }
 

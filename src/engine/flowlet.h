@@ -12,12 +12,14 @@
 //   * PartialReduceFlowlet - commutative+associative incremental aggregation;
 //                            folds each record on arrival into a node-shared
 //                            accumulator table and emits on upstream
-//                            completion (or on a streaming window flush).
+//                            completion (or, mid-job, through its optional
+//                            processed-prefix barrier).
 //
 // Application code interacts with the runtime only through Context.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,6 +29,7 @@
 #include "engine/bin.h"
 #include "engine/split.h"
 #include "kvstore/kv_store.h"
+#include "obs/event_log.h"
 #include "storage/file_store.h"
 
 namespace hamr::engine {
@@ -73,6 +76,10 @@ class Context {
   // True once the driver has asked streaming sources to wind down. Batch
   // jobs always return false; stream loaders poll this from load_chunk.
   virtual bool stream_stopping() const = 0;
+
+  // Appends (this node, this flowlet, kind, aux) to the engine's event log
+  // when one is attached (EngineConfig::event_log); otherwise a no-op.
+  virtual void log_event(obs::EventKind kind, int64_t aux) = 0;
 };
 
 class Flowlet {
@@ -114,6 +121,8 @@ class ReduceFlowlet : public Flowlet {
                       Context& ctx) = 0;
 };
 
+class PrefixBarrier;
+
 class PartialReduceFlowlet : public Flowlet {
  public:
   // Folds `value` into `acc` (empty on the key's first record). Must be
@@ -127,45 +136,53 @@ class PartialReduceFlowlet : public Flowlet {
   virtual void emit_result(std::string_view key, std::string_view acc,
                            Context& ctx);
 
-  // --- event-time windowing hooks (see src/stream/) ------------------------
-  // A *windowed* partial reduce accumulates per-(window, key) state and
-  // closes windows when in-band watermark punctuation aligns, instead of the
-  // processing-time flush. Batch flowlets keep the defaults; the engine
-  // caches stream_windowed() at job build so the batch hot path pays nothing.
+  // Opts this flowlet into the processed-prefix barrier (see PrefixBarrier)
+  // when non-null. Read once at job build: a flowlet without one pays a
+  // single cached pointer test per bin.
+  virtual PrefixBarrier* prefix_barrier() { return nullptr; }
+};
 
-  virtual bool stream_windowed() const { return false; }
+// Removes accumulators from a partial reduce's node-shared table; handed to
+// PrefixBarrier::fire.
+class AccumulatorDrain {
+ public:
+  // Under each stripe lock, removes every accumulator whose key satisfies
+  // `match` (the rest stay in place, so a concurrent fold never starts a
+  // second accumulator for a kept key), then passes each removed one to the
+  // flowlet's emit_result outside the lock. Returns how many were removed.
+  virtual size_t drain_if(
+      const std::function<bool(std::string_view key)>& match) = 0;
 
-  // True when `key` is a watermark punctuation record rather than data; such
-  // records are routed to on_punctuation() and never touch the accumulator
-  // table.
-  virtual bool is_punctuation(std::string_view key) const {
-    (void)key;
-    return false;
-  }
+ protected:
+  ~AccumulatorDrain() = default;
+};
 
-  // Handles one punctuation record. Returns the operator's new aligned
-  // watermark (every expected origin has reported at least this, in
-  // event-time microseconds), or INT64_MIN when the watermark did not
-  // advance. Called without the stripe locks held; implementations
-  // synchronize their own state.
-  virtual int64_t on_punctuation(std::string_view key, std::string_view value) {
-    (void)key;
-    (void)value;
-    return INT64_MIN;
-  }
+// Processed-prefix barrier of a partial reduce on one node: a way to act
+// once every bin that arrived before some point has been folded.
+//
+// after_bin() runs on the folding thread once per bin, after the bin's
+// folds and before the bin counts as processed. A return value other than
+// kNoArm arms the barrier with that tag; its target is the number of bins
+// enqueued for this flowlet so far. Tags only move forward: an arm whose tag
+// is not above every tag armed before it is ignored, and a newer arm
+// replaces one that has not fired yet.
+//
+// The barrier fires - fire() runs once, with the tag - when every bin below
+// the target has been processed. This is a prefix, not a count: bins finish
+// out of order (work stealing, crash-retry backoff), and bins enqueued after
+// the arm must not stand in for an earlier one still parked. fire() runs on
+// the thread that completed the last covered bin, before that bin counts as
+// processed, so it never overlaps the flowlet's finish pass; calls to fire()
+// never overlap each other.
+class PrefixBarrier {
+ public:
+  static constexpr int64_t kNoArm = INT64_MIN;
 
-  // Window end (event-time us) encoded in a composite accumulator key, or
-  // INT64_MIN when the key carries no window.
-  virtual int64_t window_end_of(std::string_view key) const {
-    (void)key;
-    return INT64_MIN;
-  }
+  virtual int64_t after_bin(Context& ctx) = 0;
+  virtual void fire(int64_t tag, AccumulatorDrain& drain, Context& ctx) = 0;
 
-  // Drains the window ends first opened since the last call (the runtime
-  // logs them as kWindowOpen). Appends to *out. Called once per bin, on the
-  // thread that folded it, after its folds and before the bin counts as
-  // processed - the place to publish per-bin operator state.
-  virtual void take_opened_windows(std::vector<int64_t>* out) { (void)out; }
+ protected:
+  ~PrefixBarrier() = default;
 };
 
 using FlowletFactory = std::function<std::unique_ptr<Flowlet>()>;

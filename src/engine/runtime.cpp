@@ -112,6 +112,9 @@ class TaskContext : public Context {
   bool stream_stopping() const override {
     return rt_->streaming_stop_.load(std::memory_order_relaxed);
   }
+  void log_event(obs::EventKind kind, int64_t aux) override {
+    rt_->log_event(kind, fid_, aux);
+  }
 
   void flush_all() {
     for (size_t slot = 0; slot < builders_.size(); ++slot) {
@@ -295,9 +298,6 @@ NodeRuntime::NodeRuntime(Engine* engine, cluster::Node* node,
   task_us_h_ = metrics().histogram("engine.task_us");
   merge_fan_in_h_ = metrics().histogram("sort.merge_fan_in");
   arena_bytes_g_ = metrics().gauge("engine.arena_bytes");
-  windows_emitted_c_ = metrics().counter("stream.windows_emitted");
-  window_emit_us_h_ = metrics().histogram("stream.window_emit_latency_us");
-  wm_lag_us_h_ = metrics().histogram("stream.watermark_lag_us");
   ShardedScheduler::Hooks hooks;
   hooks.steals = metrics().counter("engine.sched_steal");
   hooks.lock_wait_ns = metrics().counter("engine.sched_lock_wait_ns");
@@ -395,8 +395,8 @@ void NodeRuntime::on_bin_message(net::Message&& msg) {
     obs::trace().record_instant("bin.enqueue", "engine.bin", node_id(),
                                 edge.dst, static_cast<int64_t>(view.records()));
     job->flowlets[edge.dst]->pending_bins.fetch_add(1);
-    // The fetch_add return value is this bin's enqueue index: any watermark
-    // barrier armed after this point has armed_target > index, and the close
+    // The fetch_add return value is this bin's enqueue index: any prefix
+    // barrier armed after this point has armed_target > index, and its fire
     // waits for the processed prefix to pass it.
     bin_index = job->flowlets[edge.dst]->bins_enqueued.fetch_add(1);
   } catch (const serde::DecodeError& e) {
@@ -619,7 +619,7 @@ void NodeRuntime::process_bin(const QueueItem& item) {
   // bookkeeping below still runs so the shutdown cascade reaches every node.
   if (job_cancelled()) {
     log_event(obs::EventKind::kBinProcessed, edge.dst, 0);
-    if (fs.stream_windowed) mark_bin_done(fs, item.bin_index);
+    if (fs.barrier != nullptr) mark_bin_done(fs, item.bin_index);
     fs.pending_bins.fetch_sub(1);
     maybe_schedule_finish(edge.dst);
     return;
@@ -652,7 +652,7 @@ void NodeRuntime::process_bin(const QueueItem& item) {
         break;
       }
       case FlowletKind::kPartialReduce:
-        fold_partial_bin(edge.dst, fs, view);
+        fold_partial_bin(fs, view);
         break;
       case FlowletKind::kReduce:
         stage_reduce_bin(edge.dst, fs, view);
@@ -669,11 +669,11 @@ void NodeRuntime::process_bin(const QueueItem& item) {
   // only reachable once pending_bins hits zero, so every kBinProcessed
   // event of a flowlet precedes its kFlowletComplete in the log.
   log_event(obs::EventKind::kBinProcessed, edge.dst, records);
-  if (fs.stream_windowed) mark_bin_done(fs, item.bin_index);
+  // A barrier fires while its last covered bin is still pending, so the
+  // flowlet's finish pass cannot start until fire() has returned.
+  if (fs.barrier != nullptr) end_barrier_bin(*job, edge.dst, fs, item.bin_index);
   fs.pending_bins.fetch_sub(1);
   maybe_schedule_finish(edge.dst);
-  // This completion may be the one that satisfies an armed watermark barrier.
-  if (fs.stream_windowed) maybe_close_event_windows(edge.dst);
 }
 
 void NodeRuntime::process_control(const QueueItem& item) {
@@ -773,16 +773,13 @@ void NodeRuntime::run_split_chunk(FlowletId loader, const InputSplit& split,
 
 // --- partial reduce ----------------------------------------------------------
 
-void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs,
-                                   BinView& bin) {
+void NodeRuntime::fold_partial_bin(internal::FlowletState& fs, BinView& bin) {
   auto* pr = static_cast<PartialReduceFlowlet*>(fs.instance.get());
   internal::PartialTable& table = *fs.table;
   const uint32_t num_stripes = static_cast<uint32_t>(table.stripes.size());
 
   // Bin-at-a-time fold. Decode pass: hash each record's key once (the same
-  // hash picks the stripe and probes the table). Windowed flowlets route
-  // in-band watermark punctuation around the table (acted on after the
-  // folds, outside any stripe lock).
+  // hash picks the stripe and probes the table).
   struct Pending {
     KvPair record;
     uint64_t hash;
@@ -795,13 +792,7 @@ void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs
   pending.clear();
   per_stripe.assign(num_stripes, 0);
   KvPair record;
-  int64_t aligned = INT64_MIN;
   while (bin.next(&record)) {
-    if (fs.stream_windowed && pr->is_punctuation(record.key)) {
-      const int64_t w = pr->on_punctuation(record.key, record.value);
-      if (w > aligned) aligned = w;
-      continue;
-    }
     const uint64_t h = hash_bytes(record.key);
     const uint32_t si = stripe_of_hash(h, num_stripes);
     pending.push_back(Pending{record, h, si});
@@ -839,34 +830,6 @@ void NodeRuntime::fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs
     if (per_stripe[si] != 0) table.stripes[si].gate->charge(per_stripe[si]);
   }
   folds_c_->add(pending.size());
-
-  if (!fs.stream_windowed) return;
-
-  // Log windows first opened by this bin, then arm the close barrier if the
-  // operator watermark advanced. kWindowOpen is logged before the bin's
-  // pending_bins decrement, and any close covering these windows needs that
-  // decrement, so in every legal log open precedes emit for the same end.
-  std::vector<int64_t> opened;
-  pr->take_opened_windows(&opened);
-  if (opened.empty() && aligned == INT64_MIN) return;
-  std::lock_guard<std::mutex> lock(fs.wm_mu);
-  for (const int64_t end : opened) {
-    if (end > fs.max_open_end) fs.max_open_end = end;
-    log_event(obs::EventKind::kWindowOpen, flowlet, end);
-  }
-  if (aligned > fs.armed_watermark && aligned > fs.closed_watermark) {
-    fs.armed_watermark = aligned;
-    // Channel FIFO guarantees every event covered by this watermark was
-    // enqueued before the punctuation that carried it, so this snapshot
-    // covers them all (plus possibly later bins - a late close is safe).
-    fs.armed_target = fs.bins_enqueued.load();
-    fs.armed_at = now();
-    log_event(obs::EventKind::kWatermarkAdvance, flowlet, aligned);
-    if (fs.max_open_end != INT64_MIN && aligned != INT64_MAX) {
-      const int64_t lag = fs.max_open_end > aligned ? fs.max_open_end - aligned : 0;
-      wm_lag_us_h_->observe(static_cast<uint64_t>(lag));
-    }
-  }
 }
 
 // --- reduce staging / firing ---------------------------------------------
@@ -1040,37 +1003,16 @@ void NodeRuntime::run_finish(FlowletId flowlet) {
     TaskContext ctx(this, job.get(), flowlet);
     if (fs.kind == FlowletKind::kPartialReduce) {
       // Emit accumulated results before the user finish() hook (paper §2:
-      // partial reduce outputs only on upstream completion). For a windowed
-      // flowlet this is the still-open remainder - every window already
-      // closed by a watermark was drained out of the table, so the union of
-      // mid-stream closes and this final flush is exactly-once. wm_mu
-      // serializes against a close still in flight.
+      // partial reduce outputs only on upstream completion). Whatever a
+      // prefix barrier drained mid-job has already left the table, and no
+      // fire() can still be running: each one runs before its bin's
+      // pending_bins decrement, which this pass waited for.
       auto* pr = static_cast<PartialReduceFlowlet*>(fs.instance.get());
-      std::unique_lock<std::mutex> wm_lock;
-      if (fs.stream_windowed) {
-        wm_lock = std::unique_lock<std::mutex>(fs.wm_mu);
-      }
-      std::vector<int64_t> ends;
       for (auto& stripe : fs.table->stripes) {
         std::lock_guard<std::mutex> lock(stripe.mu);
-        for (auto& e : stripe.acc.entries()) {
-          if (fs.stream_windowed) {
-            const int64_t end = pr->window_end_of(e.key);
-            if (end != INT64_MIN &&
-                std::find(ends.begin(), ends.end(), end) == ends.end()) {
-              ends.push_back(end);
-            }
-          }
-          pr->emit_result(e.key, e.acc, ctx);
-        }
+        for (auto& e : stripe.acc.entries()) pr->emit_result(e.key, e.acc, ctx);
         stripe.acc.clear();
       }
-      // kFlowletReady already precedes these in the (node, flowlet) stream,
-      // which is the ordering invariant finish-path emissions satisfy.
-      for (const int64_t end : ends) {
-        log_event(obs::EventKind::kWindowEmit, flowlet, end);
-      }
-      if (!ends.empty()) windows_emitted_c_->add(ends.size());
     }
     fs.instance->finish(ctx);
   }
@@ -1161,31 +1103,64 @@ void NodeRuntime::broadcast_complete(FlowletId flowlet) {
   }
 }
 
-// --- streaming -----------------------------------------------------------
+// --- processed-prefix barrier ----------------------------------------------
 
-void NodeRuntime::flush_window(FlowletId flowlet) {
-  auto job = current_job();
-  if (!job) return;
-  internal::FlowletState& fs = *job->flowlets[flowlet];
-  if (fs.kind != FlowletKind::kPartialReduce || fs.complete.load() ||
-      fs.finish_scheduled.load() || job_cancelled()) {
-    return;
-  }
-  // Event-time flowlets close on watermarks only: a processing-time flush
-  // here would emit still-open windows and break exactly-once.
-  if (fs.stream_windowed) return;
-  auto* pr = static_cast<PartialReduceFlowlet*>(fs.instance.get());
-  TaskContext ctx(this, job.get(), flowlet);
-  for (auto& stripe : fs.table->stripes) {
-    FlatAccTable drained;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      drained = std::move(stripe.acc);
-      stripe.acc = FlatAccTable(arena_bytes_g_);
+namespace {
+
+// AccumulatorDrain over one partial reduce's table.
+class TableDrain : public AccumulatorDrain {
+ public:
+  TableDrain(internal::PartialTable& table, PartialReduceFlowlet& flowlet,
+             Context& ctx, Gauge* arena_gauge)
+      : table_(table), flowlet_(flowlet), ctx_(ctx), arena_gauge_(arena_gauge) {}
+
+  size_t drain_if(
+      const std::function<bool(std::string_view key)>& match) override {
+    size_t drained_total = 0;
+    std::vector<uint32_t> matched;  // entry indices, ascending
+    for (internal::PartialTable::Stripe& stripe : table_.stripes) {
+      FlatAccTable drained;
+      matched.clear();
+      {
+        std::lock_guard<std::mutex> lock(stripe.mu);
+        const std::vector<FlatAccTable::Entry>& entries = stripe.acc.entries();
+        for (uint32_t i = 0; i < entries.size(); ++i) {
+          if (match(entries[i].key)) matched.push_back(i);
+        }
+        if (matched.empty()) continue;
+        // FlatAccTable has no erase: move the table out and reinsert the
+        // keepers within the same lock hold, or a concurrent fold could
+        // start a second accumulator for a kept key.
+        drained = std::move(stripe.acc);
+        stripe.acc = FlatAccTable(arena_gauge_);
+        std::vector<FlatAccTable::Entry>& all = drained.entries();
+        size_t next = 0;
+        for (uint32_t i = 0; i < all.size(); ++i) {
+          if (next < matched.size() && matched[next] == i) {
+            ++next;
+            continue;
+          }
+          stripe.acc.find_or_insert(all[i].key, all[i].hash) = std::move(all[i].acc);
+        }
+      }
+      // Emit outside the stripe lock; `drained` keeps the key arena alive.
+      for (const uint32_t i : matched) {
+        const FlatAccTable::Entry& e = drained.entries()[i];
+        flowlet_.emit_result(e.key, e.acc, ctx_);
+      }
+      drained_total += matched.size();
     }
-    for (auto& e : drained.entries()) pr->emit_result(e.key, e.acc, ctx);
+    return drained_total;
   }
-}
+
+ private:
+  internal::PartialTable& table_;
+  PartialReduceFlowlet& flowlet_;
+  Context& ctx_;
+  Gauge* arena_gauge_;
+};
+
+}  // namespace
 
 void NodeRuntime::mark_bin_done(internal::FlowletState& fs, uint64_t index) {
   std::lock_guard<std::mutex> lock(fs.done_mu);
@@ -1203,101 +1178,50 @@ void NodeRuntime::mark_bin_done(internal::FlowletState& fs, uint64_t index) {
   fs.done_prefix.store(prefix, std::memory_order_release);
 }
 
-void NodeRuntime::maybe_close_event_windows(FlowletId flowlet) {
-  auto job = current_job();
-  if (!job) return;
-  internal::FlowletState& fs = *job->flowlets[flowlet];
+void NodeRuntime::end_barrier_bin(internal::JobState& job, FlowletId flowlet,
+                                  internal::FlowletState& fs, uint64_t index) {
+  TaskContext ctx(this, &job, flowlet);
+  const int64_t tag = fs.barrier->after_bin(ctx);
+  if (tag != PrefixBarrier::kNoArm) {
+    std::lock_guard<std::mutex> lock(fs.done_mu);
+    if (tag > fs.newest_tag) {
+      fs.newest_tag = fs.armed_tag = tag;
+      fs.armed_target = fs.bins_enqueued.load();
+    }
+  }
+  mark_bin_done(fs, index);
+
+  // Prefix, not count: every bin enqueued before the arm must be done.
+  auto due = [&fs] {
+    return fs.armed_tag != PrefixBarrier::kNoArm &&
+           fs.done_prefix.load(std::memory_order_acquire) >= fs.armed_target;
+  };
   for (;;) {
     {
-      std::lock_guard<std::mutex> lock(fs.wm_mu);
-      if (fs.armed_watermark == INT64_MIN) return;
-      // Prefix, not count: every bin enqueued before the arm must be done.
-      // Out-of-order completions (work stealing, crash-retry backoff) of
-      // later bins must not stand in for a parked covered bin.
-      if (fs.done_prefix.load(std::memory_order_acquire) < fs.armed_target) {
-        return;
-      }
+      std::lock_guard<std::mutex> lock(fs.done_mu);
+      if (!due()) return;
     }
-    // One closer at a time; a loser's armed state is re-checked by the
-    // winner's loop after its close finishes.
-    if (fs.close_running.exchange(true)) return;
-    int64_t watermark = INT64_MIN;
-    TimePoint armed_at{};
+    // One fire() at a time; a loser's arm is re-checked by the winner's
+    // loop once its fire() returns.
+    if (fs.barrier_running.exchange(true)) return;
+    int64_t fired = PrefixBarrier::kNoArm;
     {
-      std::lock_guard<std::mutex> lock(fs.wm_mu);
-      if (fs.armed_watermark != INT64_MIN &&
-          fs.done_prefix.load(std::memory_order_acquire) >= fs.armed_target) {
-        watermark = fs.armed_watermark;
-        armed_at = fs.armed_at;
-        fs.armed_watermark = INT64_MIN;
-        if (watermark > fs.closed_watermark) fs.closed_watermark = watermark;
+      std::lock_guard<std::mutex> lock(fs.done_mu);
+      if (due()) {
+        fired = fs.armed_tag;
+        fs.armed_tag = PrefixBarrier::kNoArm;
       }
     }
-    if (watermark != INT64_MIN) close_event_windows(flowlet, watermark, armed_at);
-    fs.close_running.store(false);
-    // Loop: a newer watermark may have armed while this close ran.
-  }
-}
-
-void NodeRuntime::close_event_windows(FlowletId flowlet, int64_t watermark,
-                                      TimePoint armed_at) {
-  auto job = current_job();
-  if (!job) return;
-  internal::FlowletState& fs = *job->flowlets[flowlet];
-  auto* pr = static_cast<PartialReduceFlowlet*>(fs.instance.get());
-  // wm_mu held for the whole close: the finish path takes it around its
-  // final emission, so finish can never emit a stripe this close is about to
-  // re-insert keepers into (which would lose them).
-  std::lock_guard<std::mutex> wm_lock(fs.wm_mu);
-  if (fs.complete.load() || fs.finish_scheduled.load() || job_cancelled()) {
-    // The finish path owns (or will own) the remaining table contents.
-    return;
-  }
-  TaskContext ctx(this, job.get(), flowlet);
-  obs::TraceSpan span("task.window_close", "engine.task", node_id(), flowlet,
-                      watermark == INT64_MAX ? -1 : watermark);
-  std::vector<int64_t> ends;
-  for (auto& stripe : fs.table->stripes) {
-    FlatAccTable drained;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      bool any = false;
-      for (const auto& e : stripe.acc.entries()) {
-        const int64_t end = pr->window_end_of(e.key);
-        if (end != INT64_MIN && end <= watermark) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) continue;
-      // Drain-and-reinsert under the stripe lock: FlatAccTable has no erase,
-      // and releasing the lock between drain and reinsert would let a
-      // concurrent fold insert a second accumulator for a kept key.
-      drained = std::move(stripe.acc);
-      stripe.acc = FlatAccTable(arena_bytes_g_);
-      for (auto& e : drained.entries()) {
-        const int64_t end = pr->window_end_of(e.key);
-        if (end != INT64_MIN && end <= watermark) continue;  // closes below
-        stripe.acc.find_or_insert(e.key) = std::move(e.acc);
-      }
+    if (fired != PrefixBarrier::kNoArm && !job_cancelled()) {
+      obs::TraceSpan span("task.barrier", "engine.task", node_id(), flowlet,
+                          fired);
+      TableDrain drain(*fs.table,
+                       *static_cast<PartialReduceFlowlet*>(fs.instance.get()),
+                       ctx, arena_bytes_g_);
+      fs.barrier->fire(fired, drain, ctx);
     }
-    // Emit outside the stripe lock; `drained` keeps the key arena alive.
-    for (auto& e : drained.entries()) {
-      const int64_t end = pr->window_end_of(e.key);
-      if (end == INT64_MIN || end > watermark) continue;
-      pr->emit_result(e.key, e.acc, ctx);
-      if (std::find(ends.begin(), ends.end(), end) == ends.end()) {
-        ends.push_back(end);
-      }
-    }
-  }
-  for (const int64_t end : ends) {
-    log_event(obs::EventKind::kWindowEmit, flowlet, end);
-  }
-  if (!ends.empty()) {
-    windows_emitted_c_->add(ends.size());
-    window_emit_us_h_->observe(
-        static_cast<uint64_t>((now() - armed_at).count() / 1000));
+    fs.barrier_running.store(false);
+    // Loop: a newer arm may have come due while fire() ran.
   }
 }
 

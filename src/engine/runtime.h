@@ -117,9 +117,9 @@ struct FlowletState {
   // registered in the node's Metrics at job build time; pointer is stable.
   Histogram* task_us = nullptr;
 
-  // --- event-time windowing (kind == kPartialReduce, stream_windowed()) ---
-  // Cached PartialReduceFlowlet::stream_windowed() (set at job build).
-  bool stream_windowed = false;
+  // Processed-prefix barrier (kind == kPartialReduce; see PrefixBarrier).
+  // Cached PartialReduceFlowlet::prefix_barrier(), null when not opted in.
+  PrefixBarrier* barrier = nullptr;
   // Bins ever enqueued locally for this flowlet (monotone). The fetch_add
   // return value is the bin's enqueue index, carried on the QueueItem so
   // completion can be tracked per bin.
@@ -130,25 +130,15 @@ struct FlowletState {
   // scheduler and crash-retry backoffs complete bins out of order, so later
   // bins (enqueued after an arm) can stand in for a parked earlier one and
   // the count reaches the target while covered data is still unfolded.
-  // done_prefix cannot be fooled that way. Guarded by done_mu; read
-  // lock-free by the close barrier.
+  // done_prefix cannot be fooled that way. Guarded by done_mu, as is the
+  // arm below.
   std::mutex done_mu;
   std::atomic<uint64_t> done_prefix{0};
   std::set<uint64_t> done_out_of_order;
-  // Watermark close barrier, guarded by wm_mu. Punctuation alignment arms it
-  // with a target = bins_enqueued snapshot; it fires once every bin enqueued
-  // before arming has been processed (done_prefix >= armed_target). The
-  // barrier exists because "punctuation processed" alone does not imply
-  // "covered data folded" when bins complete out of order.
-  // wm_mu also serializes window close against the finish-path emission, so
-  // a drain-and-reinsert close can never race a concurrent final flush.
-  std::mutex wm_mu;
-  int64_t armed_watermark = INT64_MIN;  // INT64_MIN = not armed
-  uint64_t armed_target = 0;
-  TimePoint armed_at{};
-  int64_t closed_watermark = INT64_MIN;
-  int64_t max_open_end = INT64_MIN;  // newest window end opened (lag probe)
-  std::atomic<bool> close_running{false};
+  int64_t armed_tag = PrefixBarrier::kNoArm;   // pending arm, if any
+  uint64_t armed_target = 0;                   // bins_enqueued at arm time
+  int64_t newest_tag = PrefixBarrier::kNoArm;  // newest tag ever armed
+  std::atomic<bool> barrier_running{false};    // one fire() at a time
 };
 
 // One job's per-node state. Built by the Engine, owned jointly by the
@@ -247,10 +237,15 @@ class NodeRuntime {
   void run_split_chunk(FlowletId loader, const InputSplit& split, uint64_t cursor,
                        uint32_t attempt = 0);
   void stage_reduce_bin(FlowletId flowlet, internal::FlowletState& fs, BinView& bin);
-  void fold_partial_bin(FlowletId flowlet, internal::FlowletState& fs, BinView& bin);
-  // Advances the flowlet's processed-bin prefix past `index` (stream_windowed
-  // close-barrier bookkeeping; see FlowletState::done_prefix).
+  void fold_partial_bin(internal::FlowletState& fs, BinView& bin);
+  // Advances the flowlet's processed-bin prefix past `index` (barrier
+  // bookkeeping; see FlowletState::done_prefix).
   void mark_bin_done(internal::FlowletState& fs, uint64_t index);
+  // Barrier end of a processed bin, run before its pending_bins decrement:
+  // after_bin() and a possible arm, the prefix advance, then fire() for
+  // every arm the prefix now covers.
+  void end_barrier_bin(internal::JobState& job, FlowletId flowlet,
+                       internal::FlowletState& fs, uint64_t index);
   void maybe_schedule_finish(FlowletId flowlet);
   void run_finish(FlowletId flowlet);
   void fire_reduce(FlowletId flowlet);
@@ -262,14 +257,6 @@ class NodeRuntime {
   void broadcast_complete(FlowletId flowlet);
   void flush_combine_stripe(internal::JobState& job, EdgeId edge_id,
                             uint32_t stripe_index);
-  void flush_window(FlowletId flowlet);  // processing-time streaming flush
-  // Event-time close path: fires the armed watermark barrier once all bins
-  // enqueued before arming are processed, then drains every accumulator
-  // whose window end <= watermark through emit_result (exactly once; open
-  // windows are re-inserted under the stripe lock).
-  void maybe_close_event_windows(FlowletId flowlet);
-  void close_event_windows(FlowletId flowlet, int64_t watermark,
-                           TimePoint armed_at);
 
   // --- fault recovery ---
   bool reliable() const {
@@ -338,10 +325,6 @@ class NodeRuntime {
   Histogram* task_us_h_ = nullptr;
   Histogram* merge_fan_in_h_ = nullptr;
   Gauge* arena_bytes_g_ = nullptr;
-  // Streaming (stream.* family; idle unless a windowed flowlet runs).
-  Counter* windows_emitted_c_ = nullptr;
-  Histogram* window_emit_us_h_ = nullptr;
-  Histogram* wm_lag_us_h_ = nullptr;
 
   // Scheduler: per-worker sharded deques with work stealing (see
   // scheduler.h). The delivery thread routes each sender to a fixed shard

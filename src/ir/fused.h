@@ -43,6 +43,9 @@ class FusedEmit : public engine::Context {
   storage::FileStore& local_store() override { return outer_.local_store(); }
   Metrics& metrics() override { return outer_.metrics(); }
   bool stream_stopping() const override { return outer_.stream_stopping(); }
+  void log_event(obs::EventKind kind, int64_t aux) override {
+    outer_.log_event(kind, aux);
+  }
 
  private:
   engine::Context& outer_;
@@ -111,21 +114,10 @@ class FusedPartialReduce : public engine::PartialReduceFlowlet {
                    engine::Context& ctx) override;
   void finish(engine::Context& ctx) override;
 
-  // Event-time windowing hooks forward to the producer so a windowed partial
-  // reduce keeps its semantics if a map is ever fused below it.
-  bool stream_windowed() const override { return producer_->stream_windowed(); }
-  bool is_punctuation(std::string_view key) const override {
-    return producer_->is_punctuation(key);
-  }
-  int64_t on_punctuation(std::string_view key,
-                         std::string_view value) override {
-    return producer_->on_punctuation(key, value);
-  }
-  int64_t window_end_of(std::string_view key) const override {
-    return producer_->window_end_of(key);
-  }
-  void take_opened_windows(std::vector<int64_t>* out) override {
-    producer_->take_opened_windows(out);
+  // The producer's barrier keeps working with a map fused below it: its
+  // drains emit through this wrapper's emit_result.
+  engine::PrefixBarrier* prefix_barrier() override {
+    return producer_->prefix_barrier();
   }
 
  private:

@@ -15,8 +15,9 @@
 //   * i64 sums accumulate as wrapping uint64 (deterministic overflow);
 //   * f64 sums add in IEEE double. Addition order differs between the two
 //     paths, so byte-identical results require inputs whose sums are exact
-//     (the generators emit f64 on a 1/16 grid well inside 2^53 - see
-//     testgen.h); count/min/max are order-independent for any input;
+//     (the test generators emit f64 on a 1/16 grid well inside 2^53 - see
+//     tests/query_testgen.h); count/min/max are order-independent for any
+//     input;
 //   * group_by emits one row per key that had at least one input row (an
 //     empty input produces an empty result, never a global-aggregate row).
 #pragma once

@@ -1,24 +1,34 @@
 // Event-time windowing operator and the default output sink.
 //
 // EventWindowFlowlet is a PartialReduceFlowlet whose accumulators are keyed
-// by composite (window end, user key) records from SourceFlowlet. It
-// implements the engine's windowed-streaming hooks: punctuation records feed
-// a per-origin watermark map, and when every expected origin has reported,
-// the aligned minimum arms the runtime's close barrier. Closed windows leave
-// the FlatAccTable exactly once - the mid-stream close drains them out of
-// the table, the finish path emits only what remains - and travel downstream
-// through the sequence-numbered reliable shuffle like any other records.
+// by composite (window end, user key) records from SourceFlowlet. It drives
+// the engine's processed-prefix barrier (engine::PrefixBarrier): watermark
+// punctuation folds into a per-origin watermark map, and when every expected
+// origin has reported, the aligned minimum arms the barrier. When it fires,
+// every window ending at or below that watermark is drained out of the
+// table and emitted; the finish pass emits only what remains, so each
+// window leaves exactly once. Closed windows travel downstream through the
+// sequence-numbered reliable shuffle like any other records.
+//
+// This flowlet owns everything stream-specific about closing windows: the
+// kWindowOpen / kWatermarkAdvance / kWindowEmit log events and the
+// stream.windows_emitted, stream.window_emit_latency_us and
+// stream.watermark_lag_us metrics in the node registry.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/clock.h"
+#include "common/metrics.h"
 #include "engine/flowlet.h"
 #include "stream/stream.h"
 
@@ -36,34 +46,44 @@ struct WindowOptions {
   std::shared_ptr<StreamStats> stats;
 };
 
-class EventWindowFlowlet : public engine::PartialReduceFlowlet {
+class EventWindowFlowlet : public engine::PartialReduceFlowlet,
+                           private engine::PrefixBarrier {
  public:
   EventWindowFlowlet(WindowFold fold, WindowOptions options)
       : fold_(std::move(fold)), options_(std::move(options)) {}
 
+  void start(engine::Context& ctx) override;
+  // Folds a window-keyed event; a punctuation record (which the engine
+  // folds like any key, leaving an empty accumulator) advances the origin
+  // watermarks instead.
   void fold(std::string_view key, std::string_view value,
             std::string& acc) override;
   void emit_result(std::string_view key, std::string_view acc,
                    engine::Context& ctx) override;
-
-  bool stream_windowed() const override { return true; }
-  bool is_punctuation(std::string_view key) const override {
-    return is_punctuation_key(key);
-  }
-  int64_t on_punctuation(std::string_view key, std::string_view value) override;
-  int64_t window_end_of(std::string_view key) const override {
-    return window_key_end(key);
-  }
-  void take_opened_windows(std::vector<int64_t>* out) override;
+  engine::PrefixBarrier* prefix_barrier() override { return this; }
 
  private:
+  // Logs the windows this node opened since the last call and, when the
+  // aligned watermark advanced, arms the barrier with it.
+  int64_t after_bin(engine::Context& ctx) override;
+  // Drains and emits every window ending at or below `watermark`.
+  void fire(int64_t watermark, engine::AccumulatorDrain& drain,
+            engine::Context& ctx) override;
+
   WindowFold fold_;
   WindowOptions options_;
-  std::mutex mu_;
+  std::mutex mu_;  // guards everything below
   std::map<uint32_t, int64_t> origin_watermarks_;
-  int64_t aligned_ = INT64_MIN;
+  int64_t aligned_ = INT64_MIN;   // min over origins, once all reported
+  int64_t advanced_ = INT64_MIN;  // newest watermark logged and armed
   std::set<int64_t> open_ends_;
-  std::vector<int64_t> opened_;  // drained by take_opened_windows
+  std::vector<int64_t> opened_;  // open, kWindowOpen not logged yet
+  int64_t max_open_end_ = INT64_MIN;  // newest window end opened (lag probe)
+  // Arm times of armed watermarks not yet fired, oldest first.
+  std::deque<std::pair<int64_t, TimePoint>> armed_at_;
+  Counter* windows_emitted_c_ = nullptr;
+  Histogram* emit_latency_us_h_ = nullptr;
+  Histogram* watermark_lag_us_h_ = nullptr;
 };
 
 // Default sink: buffers final (window, key) -> value records per node and

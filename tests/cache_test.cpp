@@ -23,7 +23,7 @@
 #include "obs/event_log.h"
 #include "query/planner.h"
 #include "query/reference.h"
-#include "query/testgen.h"
+#include "query_testgen.h"
 #include "service/job_service.h"
 
 using namespace hamr;

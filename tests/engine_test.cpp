@@ -17,7 +17,10 @@
 #include "engine/flat_table.h"
 #include "engine/loaders.h"
 #include "engine/rate_gate.h"
+#include "fault/fault.h"
 #include "obs/event_log.h"
+#include "stream/source.h"
+#include "stream/stream_service.h"
 
 using namespace hamr;
 using namespace hamr::engine;
@@ -684,48 +687,176 @@ TEST(Engine, EmitDuringStartThrows) {
 }
 
 TEST(Engine, StreamingWindowsFlushPeriodically) {
-  Env env(2);
-  class TickSource : public RateLimitedSource {
-   public:
-    TickSource() : RateLimitedSource(2000, 32) {}
-    void make_record(const InputSplit& split, uint64_t index, std::string* key,
-                     std::string* value) override {
-      *key = "tick" + std::to_string(index % 4);
-      *value = "1";
-      (void)split;
-    }
+  // Processing-time windows are event-time windows over ingestion stamps: a
+  // paced, unbounded generator stamps event i at i / rate seconds, so its
+  // watermark closes 100 ms windows while the 400 ms stream runs.
+  const uint32_t kNodes = 2;
+  Env env(kNodes);
+  stream::GeneratorConfig gen;  // total_events = 0: runs until stopped
+  gen.events_per_sec = 2000;
+  gen.period_us = 500;  // 1e6 / events_per_sec
+  gen.make = [](uint64_t index, std::string* key, std::string* value) {
+    *key = "tick" + std::to_string(index % 4);
+    *value = "1";
   };
-  class SumPartial : public PartialReduceFlowlet {
-   public:
-    void fold(std::string_view, std::string_view value, std::string& acc) override {
-      const uint64_t prev = acc.empty() ? 0 : std::stoull(acc);
-      acc = std::to_string(prev + std::stoull(std::string(value)));
-    }
+  stream::StreamPipeline p;
+  p.source = [gen] { return std::make_unique<stream::GeneratorSource>(gen); };
+  p.source_options.window.size_us = 100'000;
+  p.source_options.events_per_chunk = 32;
+  p.source_options.punctuate_every = 32;
+  p.fold = [](std::string_view, std::string_view value, std::string& acc) {
+    const uint64_t prev = acc.empty() ? 0 : std::stoull(acc);
+    acc = std::to_string(prev + std::stoull(std::string(value)));
   };
+  p.output_dir = "test/windows";
+  const service::JobWork work =
+      stream::StreamService::make_work(std::move(p), kNodes, nullptr);
+  const JobResult result =
+      env.engine.run_streaming(work.graph, work.inputs, millis(400));
 
-  FlowletGraph g;
-  auto source = g.add_loader("src", [] { return std::make_unique<TickSource>(); });
-  auto window = g.add_partial_reduce("win", [] { return std::make_unique<SumPartial>(); });
-  auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
-  g.connect(source, window);
-  g.connect(window, sink);
-
-  JobInputs inputs;
-  for (uint32_t n = 0; n < 2; ++n) {
-    InputSplit split;
-    split.preferred_node = n;
-    inputs.add(source, split);
-  }
-  env.engine.run_streaming(g, inputs, millis(400), millis(100));
-
-  // Multiple window flushes => more than one emission per key.
-  const auto got = collected(env.cluster);
-  EXPECT_GT(got.size(), 4u);
+  std::map<std::string, std::set<int64_t>> windows_of;  // key -> window ends
   uint64_t total = 0;
-  for (const std::string& line : got) {
-    total += std::stoull(line.substr(line.find('\t') + 1));
+  std::istringstream lines(work.collect(env.engine));
+  for (std::string line; std::getline(lines, line);) {
+    const size_t tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << line;
+    const std::string_view key(line.data(), tab);
+    windows_of[std::string(stream::window_key_user(key))].insert(
+        stream::window_key_end(key));
+    total += std::stoull(line.substr(tab + 1));
+  }
+  ASSERT_EQ(windows_of.size(), 4u);
+  for (const auto& [key, ends] : windows_of) {
+    EXPECT_GT(ends.size(), 1u) << key << " closed in a single window";
   }
   EXPECT_GT(total, 0u);
+  EXPECT_EQ(total, result.metrics.counter("stream.events_ingested"));
+}
+
+namespace {
+
+// Shared between PrefixBarrierProbe instances, the gated loader and the test.
+struct BarrierProbeState {
+  std::atomic<bool> armed{false};
+  std::mutex mu;
+  std::vector<std::string> emitted;     // every key emit_result saw, in order
+  std::vector<std::string> first_fire;  // keys the first fire() drained
+  int fires = 0;
+};
+
+// Arms the barrier once (after its first folded bin), drains every key
+// when it fires, and records what each drain removed.
+class PrefixBarrierProbe : public PartialReduceFlowlet, private PrefixBarrier {
+ public:
+  explicit PrefixBarrierProbe(std::shared_ptr<BarrierProbeState> state)
+      : state_(std::move(state)) {}
+
+  void fold(std::string_view, std::string_view value, std::string& acc) override {
+    acc.assign(value);
+  }
+  void emit_result(std::string_view key, std::string_view, Context&) override {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->emitted.emplace_back(key);
+  }
+  PrefixBarrier* prefix_barrier() override { return this; }
+
+ private:
+  int64_t after_bin(Context&) override {
+    return state_->armed.exchange(true) ? kNoArm : 1;
+  }
+  void fire(int64_t, AccumulatorDrain& drain, Context&) override {
+    size_t before = 0;
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      before = state_->emitted.size();
+    }
+    drain.drain_if([](std::string_view) { return true; });
+    std::lock_guard<std::mutex> lock(state_->mu);
+    if (state_->fires++ == 0) {
+      state_->first_fire.assign(state_->emitted.begin() + before,
+                                state_->emitted.end());
+    }
+  }
+
+  std::shared_ptr<BarrierProbeState> state_;
+};
+
+// Emits one record per chunk, so one bin per chunk: "b0", then - once the
+// log shows b0's crash - "b1", then "b2".."b9" once the probe has armed.
+class GatedLoader : public LoaderFlowlet {
+ public:
+  GatedLoader(std::shared_ptr<BarrierProbeState> state, obs::EventLog* log)
+      : state_(std::move(state)), log_(log) {}
+
+  bool load_chunk(const InputSplit&, uint64_t* cursor, Context& ctx) override {
+    if (*cursor == 1) {
+      await([&] { return log_->count(obs::EventKind::kTaskRetry) >= 1; });
+    } else if (*cursor == 2) {
+      await([&] { return state_->armed.load(); });
+    }
+    ctx.emit(0, "b" + std::to_string(*cursor), "x");
+    return ++*cursor < 10;
+  }
+
+ private:
+  // Bounded, so a broken barrier fails the assertions instead of hanging.
+  template <typename Pred>
+  static void await(Pred ready) {
+    const TimePoint give_up = now() + std::chrono::seconds(10);
+    while (!ready() && now() < give_up) std::this_thread::sleep_for(millis(1));
+  }
+
+  std::shared_ptr<BarrierProbeState> state_;
+  obs::EventLog* log_;
+};
+
+}  // namespace
+
+TEST(Engine, PrefixBarrierWaitsForAParkedEarlierBin) {
+  // The probe's first bin b0 crashes and parks for a long backoff. b1 arms
+  // the barrier with b0 still unfolded, and b2..b9 complete before b0's
+  // retry: a processed-bin count reaches the target without b0, the
+  // processed prefix does not. The loader sequences on the event log (b0's
+  // kTaskRetry) and on the arm, not on timing.
+  obs::EventLog log;
+  EngineConfig config = EngineConfig::fast();
+  config.event_log = &log;
+  config.worker_threads = 3;  // one may sit in the gated loader
+  fault::FaultPlan plan;
+  const FlowletId probe_id = 1;
+  plan.crash_points.push_back({.node = 0, .flowlet = probe_id, .times = 1});
+  plan.retry_backoff = millis(200);
+  plan.retry_backoff_cap = millis(200);
+  fault::FaultInjector injector(plan);
+  config.fault_injector = &injector;
+  Env env(1, config);
+
+  auto state = std::make_shared<BarrierProbeState>();
+  FlowletGraph g;
+  auto loader = g.add_loader("gated", [state, &log] {
+    return std::make_unique<GatedLoader>(state, &log);
+  });
+  auto probe = g.add_partial_reduce("probe", [state] {
+    return std::make_unique<PrefixBarrierProbe>(state);
+  });
+  ASSERT_EQ(probe, probe_id);
+  g.connect(loader, probe);
+  JobInputs inputs;
+  inputs.add(loader, InputSplit{});
+  env.engine.run(g, inputs);
+
+  EXPECT_EQ(log.count(obs::EventKind::kTaskRetry), 1u);
+  EXPECT_EQ(state->fires, 1);
+  // The fire waited for the parked bin: b0 (and b1, the arming bin) left
+  // the table in the first drain, not in the finish pass.
+  const std::set<std::string> first(state->first_fire.begin(),
+                                    state->first_fire.end());
+  EXPECT_TRUE(first.count("b0")) << "barrier fired before the parked bin folded";
+  EXPECT_TRUE(first.count("b1"));
+  // Drain plus finish emit every key exactly once.
+  std::multiset<std::string> all(state->emitted.begin(), state->emitted.end());
+  EXPECT_EQ(all.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(all.count("b" + std::to_string(i)), 1u);
 }
 
 TEST(Engine, RunningTwoJobsConcurrentlyRejected) {

@@ -23,7 +23,7 @@
 #include "obs/metrics_snapshot.h"
 #include "query/planner.h"
 #include "query/reference.h"
-#include "query/testgen.h"
+#include "query_testgen.h"
 #include "stream/source.h"
 #include "stream/stream_service.h"
 #include "stream/window.h"

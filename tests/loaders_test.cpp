@@ -163,8 +163,7 @@ TEST(RateLimitedSource, PacesEmissionRate) {
   inputs.add(source, InputSplit{});
 
   Stopwatch watch;
-  const auto result =
-      env.engine.run_streaming(g, inputs, millis(500), Duration::zero());
+  const auto result = env.engine.run_streaming(g, inputs, millis(500));
   const double elapsed = watch.elapsed_seconds();
   EXPECT_GE(elapsed, 0.45);
   // ~2000 rec/s for ~0.5 s => roughly 1000 records (chunked, so allow slack).
@@ -193,7 +192,7 @@ TEST(Streaming, SourcesStopAndJobDrainsCompletely) {
     split.preferred_node = n;
     inputs.add(source, split);
   }
-  const auto result = env.engine.run_streaming(g, inputs, millis(300), millis(50));
+  const auto result = env.engine.run_streaming(g, inputs, millis(300));
   // Everything emitted was delivered (no records lost at shutdown).
   EXPECT_EQ(collect(env.cluster).size(), result.records_emitted);
 }

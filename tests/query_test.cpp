@@ -3,8 +3,9 @@
 // The in-memory reference evaluator is the spec; the engine path (stage →
 // lower → flowlet DAG → collect) must produce byte-identical results after
 // canonicalization (sorted encoded rows). Every generated query draws from
-// value domains where aggregation is order-independent (see testgen.h), so
-// any divergence is a real lowering or operator bug, not float noise.
+// value domains where aggregation is order-independent (see
+// query_testgen.h), so any divergence is a real lowering or operator bug,
+// not float noise.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,7 +16,7 @@
 #include "engine/graph.h"
 #include "query/planner.h"
 #include "query/reference.h"
-#include "query/testgen.h"
+#include "query_testgen.h"
 #include "service/job_service.h"
 
 namespace {

@@ -1,4 +1,4 @@
-#include "query/testgen.h"
+#include "query_testgen.h"
 
 #include <algorithm>
 #include <string>

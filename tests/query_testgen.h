@@ -1,5 +1,5 @@
-// Seeded random tables and plans for the differential test suite and the
-// BigBench-style benches (DESIGN.md §13).
+// Seeded random tables and plans for the query differential, cache and
+// chaos test suites (DESIGN.md §13).
 //
 // Everything here is deterministic in its seed: the same seed yields the
 // same catalog and plan, so a differential failure replays exactly.

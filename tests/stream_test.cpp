@@ -260,6 +260,27 @@ TEST(EventTimeWindows, BoundedReplayMatchesReferenceExactly) {
   EXPECT_GT(result.metrics.counter("stream.windows_emitted"), 0u);
 }
 
+TEST(EventTimeWindows, NegativeEventTimesMatchReference) {
+  // Every watermark is below zero until the final punctuation: an origin's
+  // first report must not read as zero, or windows close under live data.
+  const uint32_t kNodes = 2;
+  StreamEnv env(kNodes);
+  GeneratorConfig gen;
+  gen.total_events = 2000;
+  gen.base_ts_us = -1'000'000;
+  gen.period_us = 100;
+  gen.jitter_us = 300;
+  const WindowSpec window{.size_us = 10'000, .slide_us = 0};
+
+  service::JobWork work = StreamService::make_work(
+      count_pipeline(gen, window, "neg/out", /*punctuate_every=*/128), kNodes,
+      nullptr);
+  env.engine.run(work.graph, work.inputs);
+
+  EXPECT_EQ(parse_sink(work.collect(env.engine)),
+            reference_counts(gen, window, kNodes));
+}
+
 TEST(EventTimeWindows, SlidingWindowsCountEventsInEveryCover) {
   const uint32_t kNodes = 2;
   StreamEnv env(kNodes);
@@ -308,8 +329,9 @@ TEST(EventTimeWindows, MetricsSurfaceInJobResult) {
 // --- EventLog ordering invariants -------------------------------------------
 //
 // Sleep-free and schedule-independent, in the style of the EngineEventLog
-// suite: these hold in EVERY legal interleaving because the runtime records
-// each event under fs.wm_mu before the transition that makes it visible.
+// suite: these hold in EVERY legal interleaving because the window flowlet
+// records each event under its own mutex before the transition that makes
+// it visible (an arm, a drain).
 
 TEST(StreamEventLog, EmitNeverPrecedesTheWatermarkThatClosesTheWindow) {
   obs::EventLog log;
