@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
 
   struct Variant {
     const char* name;
-    std::vector<double> totals, iter1s, tails;
-    std::map<uint64_t, double> ranks;  // first rep; later reps must match
+    std::vector<double> totals{}, iter1s{}, tails{};
+    std::map<uint64_t, double> ranks{};  // first rep; later reps must match
     uint64_t cache_hits = 0;
     int rank_mismatches = 0;
   };

@@ -102,12 +102,12 @@ BENCHMARK(BM_ShardedSchedulerThroughput)
 
 // --- fused vs unfused pipeline dispatch --------------------------------------
 //
-// The same WordCount job through the shape-preserving IR lowering (three
-// flowlets, loader->splitter bins crossing the scheduler) and through the
-// standard pass pipeline (loader+splitter fused into one task body, those
-// bins gone). Identical input and output; the delta is pure per-bin dispatch
-// overhead, which is what fusion exists to remove. CI's bench-smoke extracts
-// the pair from the JSON artifact as the fused-pipeline regression signal.
+// The same WordCount job handed to Engine::run as built (three flowlets,
+// loader->splitter bins crossing the scheduler) and through ir::run (the
+// passes fuse loader+splitter into one task body, those bins gone).
+// Identical input and output; the delta is pure per-bin dispatch overhead,
+// which is what fusion exists to remove. CI's bench-smoke extracts the pair
+// from the JSON artifact as the fused-pipeline regression signal.
 
 namespace {
 
@@ -129,10 +129,15 @@ void run_wordcount_pipeline(benchmark::State& state, bool fused) {
   apps::BenchEnv env = apps::BenchEnv::fast(kWcNodes, 2);
   const apps::StagedInput input =
       apps::stage_input(env, "wc_micro", wordcount_shards(), 4 * 1024);
+  engine::FlowletGraph unfused = apps::wordcount::build_ir();
+  unfused.flowlet(0).splits = input.splits;  // build_ir adds the loader first
   uint64_t bytes = 0;
   for (auto _ : state) {
-    apps::wordcount::run_hamr(env, input, /*combine=*/false,
-                              /*use_full_reduce=*/false, fused);
+    if (fused) {
+      apps::wordcount::run_hamr(env, input);
+    } else {
+      env.engine->run(unfused);
+    }
     bytes += input.total_bytes;
   }
   state.SetBytesProcessed(static_cast<int64_t>(bytes));

@@ -40,11 +40,12 @@ JobWork tiny_work(uint64_t records) {
       w.graph.add_loader("load", [] { return std::make_unique<TinyLoader>(); });
   const auto sink =
       w.graph.add_map("sink", [] { return std::make_unique<DiscardSink>(); });
+  w.graph.flowlet(sink).effect = true;  // stands in for a real sink
   w.graph.connect(loader, sink);
   InputSplit split;
   split.user_tag = records;
   split.preferred_node = 0;
-  w.inputs.add(loader, split);
+  w.graph.flowlet(loader).splits.push_back(split);
   return w;
 }
 

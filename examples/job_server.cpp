@@ -98,13 +98,14 @@ JobWork counting_work(uint32_t nodes, uint64_t per_node) {
   const auto counts = w.graph.add_reduce("count", [keys, records] {
     return std::make_unique<CountReduce>(keys, records);
   });
+  w.graph.flowlet(counts).effect = true;  // the payload reads its counters
   w.graph.connect(loader, counts);
   for (uint32_t n = 0; n < nodes; ++n) {
     InputSplit split;
     split.offset = n * per_node;
     split.user_tag = per_node;
     split.preferred_node = n;
-    w.inputs.add(loader, split);
+    w.graph.flowlet(loader).splits.push_back(split);
   }
   w.collect = [keys, records](Engine&) {
     return "keys=" + std::to_string(keys->load()) +

@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "engine/loaders.h"
 #include "gen/generators.h"
+#include "ir/lower.h"
 
 using namespace hamr;
 
@@ -78,15 +79,16 @@ int main(int argc, char** argv) {
   engine::FlowletGraph batch;
   const auto batch_loader = batch.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  batch.flowlet(batch_loader).splits = history.splits;
   const auto batch_tokenize =
       batch.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
   const auto batch_count = batch.add_partial_reduce(
       "Count", [] { return std::make_unique<apps::CountSink>("out/lambda_batch/"); });
+  batch.flowlet(batch_count).effect = true;
   batch.connect(batch_loader, batch_tokenize, engine::local_edge());
   batch.connect(batch_tokenize, batch_count);
 
-  const auto batch_result =
-      env.engine->run(batch, apps::inputs_for(batch_loader, history));
+  const auto batch_result = ir::run(*env.engine, std::move(batch));
   std::printf("batch layer: %.1f MB of history in %.3f s\n",
               static_cast<double>(history.total_bytes) / 1e6,
               batch_result.wall_seconds);
@@ -99,18 +101,18 @@ int main(int argc, char** argv) {
       speed.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
   const auto speed_count = speed.add_partial_reduce(
       "Count", [] { return std::make_unique<apps::CountSink>("out/lambda_speed/"); });
+  speed.flowlet(speed_count).effect = true;
   speed.connect(live, speed_tokenize, engine::local_edge());
   speed.connect(speed_tokenize, speed_count);
 
-  engine::JobInputs live_inputs;
   for (uint32_t n = 0; n < env.nodes(); ++n) {
     engine::InputSplit split;
     split.preferred_node = n;
-    live_inputs.add(live, split);
+    speed.flowlet(live).splits.push_back(split);
   }
   const double seconds = flags.get_double("seconds", 2);
   const auto speed_result =
-      env.engine->run_streaming(speed, live_inputs, from_seconds(seconds));
+      ir::run(*env.engine, std::move(speed), from_seconds(seconds));
   std::printf("speed layer: streamed %.1f s in %.3f s wall\n", seconds,
               speed_result.wall_seconds);
 

@@ -3,7 +3,9 @@
 // Demonstrates the essentials of the flowlet API:
 //   1. bring up a (simulated) cluster and deploy an Engine on it;
 //   2. define flowlets: a built-in TextLoader, a Map, and a PartialReduce;
-//   3. wire them into a DAG and submit the job with input splits;
+//   3. wire them into a DAG, attach the input splits to the loader, and
+//      submit the job through ir::run (the IR passes fuse the loader and
+//      the map into one task body, then the engine runs it);
 //   4. read the results from the nodes' local output files.
 //
 // Run:  ./examples/quickstart [--nodes=4] [--bytes=2000000]
@@ -14,6 +16,7 @@
 #include "common/flags.h"
 #include "engine/loaders.h"
 #include "gen/generators.h"
+#include "ir/lower.h"
 
 using namespace hamr;
 
@@ -58,15 +61,17 @@ int main(int argc, char** argv) {
   engine::FlowletGraph graph;
   const auto loader = graph.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.flowlet(loader).splits = input.splits;
   const auto tokenize =
       graph.add_map("Tokenize", [] { return std::make_unique<Tokenize>(); });
   const auto count = graph.add_partial_reduce(
       "Count", [] { return std::make_unique<apps::CountSink>("out/quickstart/"); });
+  graph.flowlet(count).effect = true;  // writes out/quickstart/ files
   graph.connect(loader, tokenize, engine::local_edge());
   graph.connect(tokenize, count);
 
   // 4. Run and inspect.
-  const engine::JobResult result = env.engine->run(graph, apps::inputs_for(loader, input));
+  const engine::JobResult result = ir::run(*env.engine, std::move(graph));
   std::printf("processed %.1f MB in %.3f s (%llu records, %llu bins, "
               "%llu flow-control stalls)\n",
               static_cast<double>(input.total_bytes) / 1e6, result.wall_seconds,

@@ -22,6 +22,7 @@
 #include "apps/counting.h"
 #include "common/flags.h"
 #include "common/random.h"
+#include "ir/lower.h"
 #include "stream/source.h"
 #include "stream/stream_service.h"
 
@@ -98,14 +99,14 @@ int main(int argc, char** argv) {
     acc = std::to_string(apps::parse_count(acc) + apps::parse_count(value));
   };
   pipeline.sink = [] { return std::make_unique<TrendingSink>(); };
-  const service::JobWork work =
+  service::JobWork work =
       stream::StreamService::make_work(std::move(pipeline), env.nodes(), nullptr);
 
   const double seconds = flags.get_double("seconds", 3);
   std::printf("streaming for %.1f s with %lld ms windows...\n", seconds,
               static_cast<long long>(window_ms));
-  const auto result = env.engine->run_streaming(work.graph, work.inputs,
-                                                from_seconds(seconds));
+  const auto result =
+      ir::run(*env.engine, std::move(work.graph), from_seconds(seconds));
   std::printf("stream drained in %.3f s total; %llu records through the DAG\n",
               result.wall_seconds,
               static_cast<unsigned long long>(result.records_emitted));

@@ -6,6 +6,7 @@
 #include "apps/counting.h"
 #include "apps/movie_vectors.h"
 #include "engine/loaders.h"
+#include "ir/lower.h"
 
 namespace hamr::apps::classification {
 
@@ -91,17 +92,19 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) 
   engine::FlowletGraph graph;
   const auto loader = graph.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.flowlet(loader).splits = input.splits;
   const auto classify = graph.add_map("ClassifyMap", [&params] {
     return std::make_unique<ClassifyMap>(params.centroid_lines);
   });
   const auto counts = graph.add_partial_reduce("CountSink", [] {
     return std::make_unique<CountSink>("out/classification/counts_");
   });
+  graph.flowlet(counts).effect = true;
   graph.connect(loader, classify, engine::local_edge());
   graph.connect(classify, counts);
 
   RunInfo run;
-  run.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  run.engine_result = ir::run(*env.engine, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
   return run;
 }

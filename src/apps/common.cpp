@@ -74,12 +74,6 @@ StagedInput stage_input(BenchEnv& env, const std::string& name,
   return staged;
 }
 
-engine::JobInputs inputs_for(uint32_t loader, const StagedInput& staged) {
-  engine::JobInputs inputs;
-  for (const auto& split : staged.splits) inputs.add(loader, split);
-  return inputs;
-}
-
 namespace {
 
 void parse_kv_lines(std::string_view text, std::map<std::string, std::string>* out) {

@@ -64,9 +64,6 @@ StagedInput stage_input(BenchEnv& env, const std::string& name,
                         const std::vector<std::string>& shards,
                         uint64_t split_target_bytes = 1 << 20);
 
-// Convenience JobInputs for a single-loader graph.
-engine::JobInputs inputs_for(uint32_t loader, const StagedInput& staged);
-
 // Merges "key\tvalue" lines of every node-local file with the given prefix.
 // Duplicate keys keep the last value seen (apps with unique keys per node).
 std::map<std::string, std::string> collect_local_kv(cluster::Cluster& cluster,

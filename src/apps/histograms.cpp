@@ -5,6 +5,7 @@
 
 #include "apps/counting.h"
 #include "engine/loaders.h"
+#include "ir/lower.h"
 
 namespace hamr::apps::histograms {
 
@@ -90,18 +91,19 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, Kind kind, bool combin
   engine::FlowletGraph graph;
   const auto loader = graph.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.flowlet(loader).splits = input.splits;
   const auto map = graph.add_map(
       "HistogramMap", [kind] { return std::make_unique<HistogramMap>(kind); });
   const auto count = graph.add_partial_reduce("CountSink", [kind] {
     return std::make_unique<CountSink>(out_prefix(kind));
   });
+  graph.flowlet(count).effect = true;
+  graph.flowlet(count).combinable = combine;
   graph.connect(loader, map, engine::local_edge());
-  engine::EdgeOptions options;
-  options.combine = combine;
-  graph.connect(map, count, options);
+  graph.connect(map, count);
 
   RunInfo info;
-  info.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  info.engine_result = ir::run(*env.engine, std::move(graph));
   info.seconds = info.engine_result.wall_seconds;
   return info;
 }

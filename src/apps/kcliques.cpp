@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "engine/loaders.h"
+#include "ir/lower.h"
 
 namespace hamr::apps::kcliques {
 
@@ -253,10 +254,12 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) 
   engine::FlowletGraph graph;
   const auto loader = graph.add_loader(
       "KCliquesLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.flowlet(loader).splits = input.splits;
   const auto keymap =
       graph.add_map("EdgeKeyMap", [] { return std::make_unique<EdgeKeyMap>(); });
   const auto builder = graph.add_reduce(
       "GraphBuilder", [] { return std::make_unique<GraphBuilder>(); });
+  graph.flowlet(builder).effect = true;  // stores adjacency in the shared KV
   const auto gen2 = graph.add_map(
       "TwoCliquesGen", [] { return std::make_unique<TwoCliquesGen>(); });
   graph.connect(loader, keymap, engine::local_edge());
@@ -271,9 +274,10 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params) 
     graph.connect(prev, verify);
     prev = verify;
   }
+  graph.flowlet(prev).effect = true;  // writes out/kcliques/ in finish()
 
   RunInfo run;
-  run.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  run.engine_result = ir::run(*env.engine, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
   return run;
 }

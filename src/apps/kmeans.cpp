@@ -7,6 +7,7 @@
 
 #include "apps/movie_vectors.h"
 #include "engine/loaders.h"
+#include "ir/lower.h"
 
 namespace hamr::apps::kmeans {
 
@@ -301,8 +302,10 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
   engine::FlowletGraph graph;
   const auto loader = graph.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.flowlet(loader).splits = input.splits;
   const auto update = graph.add_map(
       "CentroidUpdate", [] { return std::make_unique<CentroidUpdate>(); });
+  graph.flowlet(update).effect = true;  // writes out/kmeans/ in finish()
   if (ship_full_vectors) {
     const auto gen = graph.add_map("ClusterGenFull", [&params] {
       return std::make_unique<ClusterGenFull>(params.centroid_lines);
@@ -328,7 +331,7 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input, const Params& params,
   }
 
   RunInfo run;
-  run.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  run.engine_result = ir::run(*env.engine, std::move(graph));
   run.seconds = run.engine_result.wall_seconds;
   return run;
 }

@@ -4,6 +4,7 @@
 
 #include "apps/counting.h"
 #include "engine/loaders.h"
+#include "ir/lower.h"
 
 namespace hamr::apps::naive_bayes {
 
@@ -142,6 +143,7 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input) {
   engine::FlowletGraph graph;
   const auto loader = graph.add_loader(
       "TextLoader", [] { return std::make_unique<engine::TextLoader>(); });
+  graph.flowlet(loader).splits = input.splits;
   const auto index = graph.add_map(
       "IndexInstances", [] { return std::make_unique<IndexInstancesMapper>(); });
   const auto vecsum = graph.add_partial_reduce(
@@ -149,12 +151,13 @@ RunInfo run_hamr(BenchEnv& env, const StagedInput& input) {
   const auto weightsum = graph.add_partial_reduce("WeightSum", [] {
     return std::make_unique<CountSink>("out/naive_bayes/");
   });
+  graph.flowlet(weightsum).effect = true;
   graph.connect(loader, index, engine::local_edge());
   graph.connect(index, vecsum);
   graph.connect(vecsum, weightsum);
 
   RunInfo info;
-  info.engine_result = env.engine->run(graph, inputs_for(loader, input));
+  info.engine_result = ir::run(*env.engine, std::move(graph));
   info.seconds = info.engine_result.wall_seconds;
   return info;
 }

@@ -10,7 +10,6 @@
 #include "cache/scan_loader.h"
 #include "engine/loaders.h"
 #include "ir/lower.h"
-#include "ir/passes.h"
 
 namespace hamr::apps::pagerank {
 
@@ -320,13 +319,6 @@ void append_merge_tail(engine::FlowletGraph& graph, engine::FlowletId head,
   graph.connect(merge, cont, engine::local_edge());
 }
 
-// Optimizes (operator fusion et al.) and lowers an iteration chain, folding
-// any splits already attached to its loaders into the job inputs.
-engine::JobResult run_chain(BenchEnv& env, engine::FlowletGraph graph) {
-  const ir::Lowered lowered = ir::lower(ir::optimize(std::move(graph)));
-  return env.engine->run(lowered.graph, lowered.inputs);
-}
-
 double collect_max_delta(BenchEnv& env) {
   double max_delta = 0;
   for (const auto& [key, value] :
@@ -421,11 +413,7 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
         "AdjCacheScan",
         [adj] { return std::make_unique<cache::CachedScanLoader>(adj); },
         {"page", "adj"});
-    {
-      engine::JobInputs scan_inputs;
-      cache::add_scan_splits(&scan_inputs, loader, *adj);
-      graph.flowlet(loader).splits = scan_inputs.splits.at(loader);
-    }
+    cache::add_scan_splits(graph.flowlet(loader), *adj);
     const auto contrib = graph.add_map(
         "ContribMap",
         [&params] { return std::make_unique<ContribMap>(params.num_pages); },
@@ -437,7 +425,7 @@ engine::JobResult run_hamr_cached_iteration(BenchEnv& env,
   }
   append_merge_tail(graph, head, params);
 
-  engine::JobResult result = run_chain(env, std::move(graph));
+  engine::JobResult result = ir::run(*env.engine, std::move(graph));
   // Publish only after the job ran to completion; a run that threw leaves
   // the writer uncommitted and the cache untouched.
   if (writer) writer->commit();
@@ -480,7 +468,7 @@ engine::JobResult run_hamr_iteration(BenchEnv& env, const StagedInput& input,
     head = loader;
   }
   append_merge_tail(graph, head, params);
-  return run_chain(env, std::move(graph));
+  return ir::run(*env.engine, std::move(graph));
 }
 
 RunInfo run_baseline(BenchEnv& env, const StagedInput& input, const Params& params) {

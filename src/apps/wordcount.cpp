@@ -2,7 +2,7 @@
 
 #include "apps/counting.h"
 #include "engine/loaders.h"
-#include "ir/passes.h"
+#include "ir/lower.h"
 
 namespace hamr::apps::wordcount {
 
@@ -82,35 +82,12 @@ engine::FlowletGraph build_ir(bool combine, bool use_full_reduce) {
   return graph;
 }
 
-engine::FlowletGraph build_graph(uint32_t* loader_out, bool combine,
-                                 bool use_full_reduce) {
-  *loader_out = 0;
-  return ir::PassPipeline::no_fusion().run(build_ir(combine, use_full_reduce));
-}
-
-ir::Lowered build_fused(uint32_t* loader_out, bool combine,
-                        bool use_full_reduce) {
-  ir::Lowered lowered =
-      ir::lower(ir::optimize(build_ir(combine, use_full_reduce)));
-  *loader_out = 0;
-  for (const engine::GraphNode& node : lowered.graph.flowlets) {
-    if (node.kind == engine::FlowletKind::kLoader) *loader_out = node.id;
-  }
-  return lowered;
-}
-
 RunInfo run_hamr(BenchEnv& env, const StagedInput& input, bool combine,
-                 bool use_full_reduce, bool fused) {
+                 bool use_full_reduce) {
+  engine::FlowletGraph graph = build_ir(combine, use_full_reduce);
+  graph.flowlet(0).splits = input.splits;  // build_ir adds the loader first
   RunInfo info;
-  uint32_t loader = 0;
-  if (fused) {
-    ir::Lowered lowered = build_fused(&loader, combine, use_full_reduce);
-    info.engine_result =
-        env.engine->run(lowered.graph, inputs_for(loader, input));
-  } else {
-    engine::FlowletGraph graph = build_graph(&loader, combine, use_full_reduce);
-    info.engine_result = env.engine->run(graph, inputs_for(loader, input));
-  }
+  info.engine_result = ir::run(*env.engine, std::move(graph));
   info.seconds = info.engine_result.wall_seconds;
   return info;
 }

@@ -24,8 +24,7 @@ bool CachedScanLoader::load_chunk(const engine::InputSplit& split,
   return emitted == records_per_chunk_;
 }
 
-void add_scan_splits(engine::JobInputs* inputs, engine::FlowletId loader,
-                     const Dataset& dataset) {
+void add_scan_splits(engine::GraphNode& loader, const Dataset& dataset) {
   for (uint32_t n = 0; n < dataset.nodes(); ++n) {
     engine::InputSplit split;
     split.path = "cache://" + dataset.name();
@@ -33,7 +32,7 @@ void add_scan_splits(engine::JobInputs* inputs, engine::FlowletId loader,
     split.length = dataset.shard(n).bytes;
     split.preferred_node = n;
     split.user_tag = n;
-    inputs->add(loader, split);
+    loader.splits.push_back(std::move(split));
   }
 }
 

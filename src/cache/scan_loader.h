@@ -19,7 +19,6 @@
 #include "cache/dataset_cache.h"
 #include "engine/graph.h"
 #include "engine/loaders.h"
-#include "engine/split.h"
 
 namespace hamr::cache {
 
@@ -42,12 +41,12 @@ class CachedScanLoader : public engine::LoaderFlowlet {
   const uint64_t records_per_chunk_;
 };
 
-// Appends one synthetic split per dataset shard: path "cache://<name>",
-// preferred_node = shard index, user_tag = shard index. Placement
-// inheritance: each shard is scanned on the node where its records already
-// reside, so a cached scan moves zero bytes before the first edge.
-void add_scan_splits(engine::JobInputs* inputs, engine::FlowletId loader,
-                     const Dataset& dataset);
+// Appends one synthetic split per dataset shard to `loader`'s splits: path
+// "cache://<name>", preferred_node = shard index, user_tag = shard index.
+// Placement inheritance: each shard is scanned on the node where its
+// records already reside, so a cached scan moves zero bytes before the
+// first edge.
+void add_scan_splits(engine::GraphNode& loader, const Dataset& dataset);
 
 // Edge options for consuming a cached scan downstream with the shuffle
 // skipped when it is provably safe: key_partitioned datasets scan each key

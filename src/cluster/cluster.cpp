@@ -7,7 +7,7 @@ Node::Node(NodeId id, const ClusterConfig& config, net::Endpoint* endpoint)
       disk_(config.disk, &metrics_),
       store_(&disk_),
       pool_(config.threads_per_node, "node" + std::to_string(id)),
-      router_(endpoint),
+      router_(endpoint, &metrics_),
       // RPC handlers run inline on the delivery thread: every registered
       // method (kv, dfs blocks, shuffle fetch) is local-only work, and inline
       // execution makes handler starvation/deadlock behind a saturated task

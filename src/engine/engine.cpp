@@ -46,16 +46,15 @@ Engine::Engine(cluster::Cluster& cluster, EngineConfig config)
 
 Engine::~Engine() = default;
 
-JobResult Engine::run(const FlowletGraph& graph, const JobInputs& inputs) {
-  return run_internal(graph, inputs, Duration::zero());
+JobResult Engine::run(const FlowletGraph& graph) {
+  return run_internal(graph, Duration::zero());
 }
 
-JobResult Engine::run_streaming(const FlowletGraph& graph, const JobInputs& inputs,
-                                Duration duration) {
+JobResult Engine::run_streaming(const FlowletGraph& graph, Duration duration) {
   if (duration <= Duration::zero()) {
     throw std::invalid_argument("streaming duration must be positive");
   }
-  return run_internal(graph, inputs, duration);
+  return run_internal(graph, duration);
 }
 
 namespace {
@@ -81,7 +80,7 @@ class RunGuard {
 
 }  // namespace
 
-JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& inputs,
+JobResult Engine::run_internal(const FlowletGraph& graph,
                                Duration stream_duration) {
   verify(graph);
   {
@@ -133,10 +132,11 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
         throw std::invalid_argument("factory for '" + gnode.name + "' returned null");
       }
       // Per-flowlet task latency histogram on this node's registry. Keyed by
-      // flowlet id (stable within a graph); accumulates across jobs, but
-      // JobResult reports the per-job delta.
+      // flowlet name (unique within a graph, and the same for a stage in
+      // every job that builds it); accumulates across jobs, but JobResult
+      // reports the per-job delta.
       fs->task_us = cluster_.node(n).metrics().histogram(
-          "engine.flowlet." + std::to_string(f) + ".task_us");
+          "engine.flowlet." + gnode.name + ".task_us");
       fs->channels_total = distinct_upstreams[f] * num_nodes;
       // All of a node's staging arenas (reduce stages, partial-reduce and
       // combine key arenas) report into one engine.arena_bytes gauge.
@@ -173,14 +173,9 @@ JobResult Engine::run_internal(const FlowletGraph& graph, const JobInputs& input
   // Split assignment: every split runs on its preferred node (HAMR reads
   // from local disks, paper §5.1).
   std::vector<std::map<FlowletId, std::vector<InputSplit>>> assignment(num_nodes);
-  for (const auto& [loader, splits] : inputs.splits) {
-    if (loader >= graph.num_flowlets() ||
-        graph.flowlet(loader).kind != FlowletKind::kLoader) {
-      throw std::invalid_argument("inputs reference non-loader flowlet " +
-                                  std::to_string(loader));
-    }
-    for (const InputSplit& split : splits) {
-      assignment[split.preferred_node % num_nodes][loader].push_back(split);
+  for (const GraphNode& gnode : graph.flowlets) {
+    for (const InputSplit& split : gnode.splits) {
+      assignment[split.preferred_node % num_nodes][gnode.id].push_back(split);
     }
   }
   // Loaders with no splits at all on a node must still be tracked; the

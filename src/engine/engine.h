@@ -16,7 +16,6 @@
 #include "engine/config.h"
 #include "engine/graph.h"
 #include "engine/runtime.h"
-#include "engine/split.h"
 #include "kvstore/kv_store.h"
 #include "obs/metrics_snapshot.h"
 
@@ -44,7 +43,7 @@ struct JobResult {
 
   // Cluster-wide metrics delta for this job: every counter that moved,
   // final gauge levels, and latency histograms - including the per-flowlet
-  // task-latency histograms engine.flowlet.<id>.task_us registered at job
+  // task-latency histograms engine.flowlet.<name>.task_us registered at job
   // build time. The scalar fields above are views into this snapshot kept
   // for compatibility.
   obs::MetricsSnapshot metrics;
@@ -58,9 +57,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Runs a batch job to completion. Graphs are validated on entry; jobs run
-  // one at a time per engine.
-  JobResult run(const FlowletGraph& graph, const JobInputs& inputs);
+  // Runs a batch job to completion. Graphs are validated on entry; each
+  // loader's splits are read from its GraphNode::splits. Jobs run one at a
+  // time per engine. Front-ends reach this through ir::run, which runs the
+  // optimizing passes first.
+  JobResult run(const FlowletGraph& graph);
 
   // Runs a streaming job: stream loaders (LoaderFlowlets that keep returning
   // true from load_chunk until Context::stream_stopping()) are stopped after
@@ -69,8 +70,7 @@ class Engine {
   // its processed-prefix barrier (PrefixBarrier), which src/stream/ drives
   // with in-band progress marks - wall-clock results are event time over
   // ingestion stamps.
-  JobResult run_streaming(const FlowletGraph& graph, const JobInputs& inputs,
-                          Duration duration);
+  JobResult run_streaming(const FlowletGraph& graph, Duration duration);
 
   // Asks the currently running job (if any) to abort: loaders stop, queued
   // bins are drained without processing, reduce stages are skipped, and the
@@ -105,8 +105,7 @@ class Engine {
   friend class NodeRuntime;
   friend class TaskContext;
 
-  JobResult run_internal(const FlowletGraph& graph, const JobInputs& inputs,
-                         Duration stream_duration);
+  JobResult run_internal(const FlowletGraph& graph, Duration stream_duration);
   void node_job_done(uint32_t node);
   NodeRuntime& runtime(uint32_t node) { return *runtimes_.at(node); }
 

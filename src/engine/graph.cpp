@@ -1,5 +1,6 @@
 #include "engine/graph.h"
 
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -188,6 +189,13 @@ void verify(const FlowletGraph& graph, const std::string& context) {
                         "emits (" + src.out.key + "," + src.out.value +
                         ") but consumer accepts (" + dst.in.key + "," +
                         dst.in.value + ")");
+    }
+  }
+
+  std::set<std::string_view> names;
+  for (const GraphNode& node : graph.flowlets) {
+    if (!names.insert(node.name).second) {
+      fail(context, "two flowlets are named '" + node.name + "'");
     }
   }
 }

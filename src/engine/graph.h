@@ -94,8 +94,8 @@ struct GraphNode {
   // place_combiner pass). Off by default so apps keep the combiner as an
   // explicit knob.
   bool combinable = false;
-  // Loaders only: input splits that ir::lower() moves into the JobInputs.
-  // Engine::run reads its splits from JobInputs, never from here.
+  // Loaders only: the job's input splits for this loader. Engine::run
+  // schedules each on its preferred node; passes carry them through fusion.
   std::vector<InputSplit> splits;
   std::vector<EdgeId> out_edges;  // ordered by port
   std::vector<EdgeId> in_edges;
@@ -149,7 +149,8 @@ struct FlowletGraph {
 // Structural + typing checks, run by Engine::run and between every IR pass:
 //   * flowlet/edge ids are dense and cross-referenced consistently
 //   * the graph is acyclic
-//   * every flowlet has a factory
+//   * every flowlet has a factory, and a name no other flowlet has (names
+//     key crash points, per-flowlet metrics and the IR dump)
 //   * loaders have no in-edges; every other flowlet has at least one (no
 //     dangling flowlets); splits appear only on loaders
 //   * type tags match across every edge (empty component = wildcard)

@@ -629,7 +629,7 @@ void NodeRuntime::process_bin(const QueueItem& item) {
   // mutation, so a retry redoes the bin cleanly. The retry path keeps the
   // flowlet's pending_bins reference - completion cannot race past a bin
   // that is merely waiting to be retried.
-  if (should_crash_task(edge.dst, item.attempts)) {
+  if (should_crash_task(job->graph->flowlet(edge.dst), item.attempts)) {
     log_event(obs::EventKind::kTaskRetry, edge.dst, item.attempts + 1);
     retry_bin(item);
     return;
@@ -734,7 +734,7 @@ void NodeRuntime::run_split_chunk(FlowletId loader, const InputSplit& split,
   // not consume crash slots): the cursor has not advanced, so the retry
   // reloads exactly the same chunk - loaders are pure functions of the
   // cursor.
-  if (should_crash_task(loader, attempt)) {
+  if (should_crash_task(job->graph->flowlet(loader), attempt)) {
     task_retries_c_->inc();
     log_event(obs::EventKind::kTaskRetry, loader, attempt + 1);
     // The backoff waits on the deferred queue, not on this worker thread.
@@ -903,7 +903,7 @@ void NodeRuntime::run_reduce_stage(FlowletId flowlet, uint32_t stage_index,
   // Injected crash at stage start: staged records and spill runs are still
   // intact (they are only consumed below), so the retry re-merges the same
   // inputs and emits identical output.
-  if (should_crash_task(flowlet, attempt)) {
+  if (should_crash_task(job->graph->flowlet(flowlet), attempt)) {
     task_retries_c_->inc();
     log_event(obs::EventKind::kTaskRetry, flowlet, attempt + 1);
     DeferredTask d;
@@ -1227,14 +1227,14 @@ void NodeRuntime::end_barrier_bin(internal::JobState& job, FlowletId flowlet,
 
 // --- fault recovery ----------------------------------------------------------
 
-bool NodeRuntime::should_crash_task(FlowletId flowlet, uint32_t attempt) {
+bool NodeRuntime::should_crash_task(const GraphNode& flowlet, uint32_t attempt) {
   fault::FaultInjector* injector = config_.fault_injector;
   if (injector == nullptr) return false;
-  if (!injector->on_task_start(node_id(), flowlet)) return false;
+  if (!injector->on_task_start(node_id(), flowlet.name)) return false;
   if (attempt >= injector->plan().max_task_retries) {
     // Past the retry bound the task proceeds anyway (logged): dropping the
     // bin would silently lose data, which no retry policy may do.
-    HLOG_ERROR << "node " << node_id() << " flowlet " << flowlet << " crashed "
+    HLOG_ERROR << "node " << node_id() << " flowlet " << flowlet.name << " crashed "
                << attempt << " times; executing despite injected crash";
     return false;
   }

@@ -113,7 +113,7 @@ struct FlowletState {
   std::unique_ptr<PartialTable> table;
   // Sender-side combine tables for this flowlet's combine out-edges.
   std::map<EdgeId, std::unique_ptr<PartialTable>> combine_tables;
-  // Per-flowlet task latency histogram (engine.flowlet.<id>.task_us),
+  // Per-flowlet task latency histogram (engine.flowlet.<name>.task_us),
   // registered in the node's Metrics at job build time; pointer is stable.
   Histogram* task_us = nullptr;
 
@@ -264,7 +264,7 @@ class NodeRuntime {
   }
   // True if this task execution must crash (injected) AND may still retry;
   // retries past the bound proceed (logged) so data is never silently lost.
-  bool should_crash_task(FlowletId flowlet, uint32_t attempt);
+  bool should_crash_task(const GraphNode& flowlet, uint32_t attempt);
   Duration retry_backoff(uint32_t attempt) const;
   void retry_bin(const QueueItem& item);
   void write_spill_with_retry(storage::RunWriter& writer);

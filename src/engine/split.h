@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace hamr::engine {
 
@@ -19,15 +17,6 @@ struct InputSplit {
   uint32_t preferred_node = 0;
   // Free-form tag for synthetic sources (e.g. generator seed or record count).
   uint64_t user_tag = 0;
-};
-
-// Per-loader splits for one job submission.
-struct JobInputs {
-  std::map<uint32_t /*FlowletId*/, std::vector<InputSplit>> splits;
-
-  void add(uint32_t loader, InputSplit split) {
-    splits[loader].push_back(std::move(split));
-  }
 };
 
 }  // namespace hamr::engine

@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "net/message.h"  // header-only message-type ids; no link dependency
 
@@ -91,8 +92,8 @@ bool FaultInjector::on_disk_write(uint32_t node) {
   return false;
 }
 
-bool FaultInjector::on_task_start(uint32_t node, uint32_t flowlet) {
-  const uint64_t tag = stream_tag(kClassTask, node, flowlet);
+bool FaultInjector::on_task_start(uint32_t node, std::string_view flowlet) {
+  const uint64_t tag = stream_tag(kClassTask, node, hash_bytes(flowlet));
   bool crash_point_applies = false;
   for (const CrashPoint& cp : plan_.crash_points) {
     if (cp.node == node && cp.flowlet == flowlet) {

@@ -3,7 +3,7 @@
 // A FaultPlan declares, per (src, dst) node pair, the probabilities of a
 // message being dropped, duplicated, or delayed in flight; a disk-write
 // error rate; and task-crash behavior (a probabilistic rate plus explicit
-// crash points by (node, flowlet)). A FaultInjector evaluates the plan with
+// crash points by (node, flowlet name)). A FaultInjector evaluates the plan with
 // counter-indexed hashing: the decision for the Nth event of a given stream
 // (e.g. the Nth message on link 2->5) is a pure function of (plan, seed, N),
 // so the same plan + seed always yields the same injected-fault sequence for
@@ -24,6 +24,8 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,11 +45,13 @@ struct LinkFaults {
   bool any() const { return drop > 0 || duplicate > 0 || delay > 0; }
 };
 
-// Deterministic crash point: the first `times` task executions of `flowlet`
-// on `node` crash at task start (before any side effects).
+// Deterministic crash point: the first `times` task executions of the
+// flowlet named `flowlet` on `node` crash at task start (before any side
+// effects). The name is the one the engine runs: a fused stage is named
+// after its parts, e.g. "TextLoader+Splitter".
 struct CrashPoint {
   uint32_t node = 0;
-  uint32_t flowlet = 0;
+  std::string flowlet;
   uint32_t times = 1;
 };
 
@@ -116,10 +120,10 @@ class FaultInjector {
   // Storage hook: true if the next checked write on `node` must fail.
   bool on_disk_write(uint32_t node);
 
-  // Runtime hook: true if the task execution starting now for `flowlet` on
-  // `node` must crash. Each call consumes one execution slot of the
-  // (node, flowlet) stream, so retries can crash again.
-  bool on_task_start(uint32_t node, uint32_t flowlet);
+  // Runtime hook: true if the task execution starting now for the flowlet
+  // named `flowlet` on `node` must crash. Each call consumes one execution
+  // slot of the (node, flowlet) stream, so retries can crash again.
+  bool on_task_start(uint32_t node, std::string_view flowlet);
 
   struct Stats {
     uint64_t messages_dropped = 0;

@@ -1,18 +1,20 @@
 #include "ir/lower.h"
 
+#include "ir/passes.h"
+
 namespace hamr::ir {
 
-Lowered lower(engine::FlowletGraph graph) {
+engine::JobResult run(engine::Engine& engine, engine::FlowletGraph graph,
+                      Duration stream_duration) {
+  const engine::FlowletGraph optimized = optimize(std::move(graph));
+  return stream_duration > Duration::zero()
+             ? engine.run_streaming(optimized, stream_duration)
+             : engine.run(optimized);
+}
+
+engine::FlowletGraph lower(engine::FlowletGraph graph) {
   engine::verify(graph);
-  Lowered lowered;
-  for (engine::GraphNode& node : graph.flowlets) {
-    for (engine::InputSplit& split : node.splits) {
-      lowered.inputs.add(node.id, std::move(split));
-    }
-    node.splits.clear();
-  }
-  lowered.graph = std::move(graph);
-  return lowered;
+  return graph;
 }
 
 }  // namespace hamr::ir

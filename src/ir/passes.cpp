@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "ir/fused.h"
 
@@ -222,37 +225,20 @@ Graph eliminate_dead(const Graph& graph) {
   return work.compact();
 }
 
-PassPipeline PassPipeline::standard() {
-  PassPipeline pipeline;
-  pipeline.passes = {
+Graph optimize(Graph graph) {
+  using Pass = Graph (*)(const Graph&);
+  static constexpr std::pair<const char*, Pass> kPasses[] = {
       {"place_combiner", place_combiner},
       {"fuse_map_combine", fuse_map_combine},
       {"fuse_maps", fuse_maps},
       {"eliminate_dead", eliminate_dead},
   };
-  return pipeline;
-}
-
-PassPipeline PassPipeline::no_fusion() {
-  PassPipeline pipeline;
-  pipeline.passes = {
-      {"place_combiner", place_combiner},
-      {"eliminate_dead", eliminate_dead},
-  };
-  return pipeline;
-}
-
-Graph PassPipeline::run(Graph graph) const {
   engine::verify(graph);
-  for (const auto& [name, pass] : passes) {
+  for (const auto& [name, pass] : kPasses) {
     graph = pass(graph);
-    engine::verify(graph, "after pass " + name);
+    engine::verify(graph, std::string("after pass ") + name);
   }
   return graph;
-}
-
-Graph optimize(Graph graph) {
-  return PassPipeline::standard().run(std::move(graph));
 }
 
 }  // namespace hamr::ir

@@ -1,10 +1,10 @@
 // IR optimization passes (DESIGN.md §16). The IR is the engine's own
-// FlowletGraph: each pass is a pure graph -> graph function, and
-// PassPipeline::run() verifies the graph before the first pass and after
-// every pass, so an invariant-breaking pass fails loudly at compile time of
-// the job, not inside the engine.
+// FlowletGraph: each pass is a pure graph -> graph function, and optimize()
+// verifies the graph before the first pass and after every pass, so an
+// invariant-breaking pass fails loudly at compile time of the job, not
+// inside the engine. Every job runs all four (ir::run in lower.h).
 //
-// Standard order:
+// Order:
 //   1. place_combiner    - enable sender-side combining on every eligible
 //                          shuffle edge into an opted-in (combinable)
 //                          partial reduce: the combiner sinks below the
@@ -23,11 +23,6 @@
 //                          surviving producer's emit ports.
 #pragma once
 
-#include <functional>
-#include <string>
-#include <utility>
-#include <vector>
-
 #include "engine/graph.h"
 
 namespace hamr::ir {
@@ -39,24 +34,8 @@ Graph fuse_map_combine(const Graph& graph);
 Graph fuse_maps(const Graph& graph);
 Graph eliminate_dead(const Graph& graph);
 
-using Pass = std::function<Graph(const Graph&)>;
-
-struct PassPipeline {
-  std::vector<std::pair<std::string, Pass>> passes;
-
-  // All four passes in the order above.
-  static PassPipeline standard();
-  // Combiner placement + dead elimination only: graph shape (and therefore
-  // engine flowlet ids) is preserved. Front-ends whose flowlet ids are
-  // load-bearing (pinned crash points, per-flowlet event assertions) lower
-  // through this one.
-  static PassPipeline no_fusion();
-
-  // verify(g); then for each pass: g = pass(g); verify(g, "after <name>").
-  Graph run(Graph graph) const;
-};
-
-// Shorthand for PassPipeline::standard().run().
+// Runs the four passes in the order above: verify(g); then for each pass
+// g = pass(g); verify(g, "after pass <name>").
 Graph optimize(Graph graph);
 
 }  // namespace hamr::ir

@@ -5,6 +5,10 @@
 // types here. Registration may happen after the transport has started (the
 // engine attaches to an already-running cluster), so the table is guarded by
 // a shared mutex - reads on the hot dispatch path take the shared side.
+//
+// A message whose type has no handler is dropped and counted in the node's
+// net.unroutable counter (late frames reaching a lane whose engine has
+// already unregistered, for example).
 #pragma once
 
 #include <cstdint>
@@ -12,14 +16,18 @@
 #include <shared_mutex>
 #include <stdexcept>
 
-#include "common/logging.h"
+#include "common/metrics.h"
 #include "net/message.h"
 
 namespace hamr::net {
 
 class Router {
  public:
-  explicit Router(Endpoint* ep) : ep_(ep) {
+  // `metrics` (optional) is the node registry that holds net.unroutable.
+  explicit Router(Endpoint* ep, Metrics* metrics = nullptr)
+      : ep_(ep),
+        unroutable_(metrics != nullptr ? metrics->counter("net.unroutable")
+                                       : nullptr) {
     ep_->set_handler([this](Message&& msg) { dispatch(std::move(msg)); });
   }
 
@@ -51,14 +59,14 @@ class Router {
     std::shared_lock lock(mu_);
     auto it = handlers_.find(msg.type);
     if (it == handlers_.end()) {
-      HLOG_WARN << "node " << ep_->node_id() << " dropped unroutable message type "
-                << msg.type;
+      if (unroutable_ != nullptr) unroutable_->inc();
       return;
     }
     (it->second)(std::move(msg));
   }
 
   Endpoint* ep_;
+  Counter* unroutable_;
   std::shared_mutex mu_;
   std::map<uint32_t, MessageHandler> handlers_;
 };

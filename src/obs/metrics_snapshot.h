@@ -4,7 +4,7 @@
 // stores the delta in JobResult::metrics, so a single run surfaces exactly
 // the counters, gauge levels, and latency histograms that job produced -
 // including the per-flowlet task-latency histograms
-// (engine.flowlet.<id>.task_us) registered at job build time. The bench
+// (engine.flowlet.<name>.task_us) registered at job build time. The bench
 // harness merges snapshots across benchmarks and dumps them as JSON under
 // --metrics_json.
 #pragma once

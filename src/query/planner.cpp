@@ -5,7 +5,6 @@
 
 #include "cache/scan_loader.h"
 #include "ir/lower.h"
-#include "ir/passes.h"
 #include "query/exec.h"
 #include "serde/batch.h"
 
@@ -91,6 +90,15 @@ struct LowerCtx {
   const Catalog& catalog;
   const StagedTables& staged;
   engine::FlowletGraph graph;
+  std::map<std::string, uint32_t> name_uses;
+
+  // Flowlet names are unique within a graph: the second use of an operator
+  // name (a second join, a self-join's second scan of one table) is
+  // numbered, "QueryHashJoin#2".
+  std::string unique_name(std::string name) {
+    const uint32_t uses = ++name_uses[name];
+    return uses == 1 ? name : name + "#" + std::to_string(uses);
+  }
 };
 
 // Type tag of a producer's hand-off, from how its consumer wants rows: the
@@ -125,16 +133,15 @@ engine::FlowletId lower_scan(const Plan& base, EmitSpec emit, LowerCtx& ctx) {
   auto cached = ctx.staged.cached.find(base.table);
   if (cached != ctx.staged.cached.end()) {
     const engine::FlowletId loader = ctx.graph.add_loader(
-        "QueryCachedScan(" + base.table + ")",
+        ctx.unique_name("QueryCachedScan(" + base.table + ")"),
         make_cached_scan_loader(compiled, cached->second), out);
-    engine::JobInputs scan_inputs;
-    cache::add_scan_splits(&scan_inputs, loader, *cached->second);
-    ctx.graph.flowlet(loader).splits = std::move(scan_inputs.splits.at(loader));
+    cache::add_scan_splits(ctx.graph.flowlet(loader), *cached->second);
     return loader;
   }
 
   const engine::FlowletId loader = ctx.graph.add_loader(
-      "QueryScan(" + base.table + ")", make_scan_loader(compiled), out);
+      ctx.unique_name("QueryScan(" + base.table + ")"),
+      make_scan_loader(compiled), out);
   const auto& bytes = ctx.staged.shard_bytes.at(base.table);
   for (uint32_t n = 0; n < ctx.staged.nodes; ++n) {
     engine::InputSplit split;
@@ -155,7 +162,7 @@ engine::FlowletId lower_join(const Plan& plan, EmitSpec emit, LowerCtx& ctx) {
   compiled->emit = std::move(emit);
 
   const engine::FlowletId join =
-      ctx.graph.add_reduce("QueryHashJoin", make_join(compiled),
+      ctx.graph.add_reduce(ctx.unique_name("QueryHashJoin"), make_join(compiled),
                            {"join-key", "side-row"}, out);
 
   EmitSpec left_emit;
@@ -186,8 +193,9 @@ engine::FlowletId lower_group_by(const Plan& plan, EmitSpec emit, LowerCtx& ctx)
 
   const engine::TypeTag out = tag_of(emit);
   const engine::FlowletId group =
-      ctx.graph.add_partial_reduce("QueryGroupBy", make_group_by(g, std::move(emit)),
-                            {"group-key", "agg-state"}, out);
+      ctx.graph.add_partial_reduce(ctx.unique_name("QueryGroupBy"),
+                                   make_group_by(g, std::move(emit)),
+                                   {"group-key", "agg-state"}, out);
   // Sender-side combining (placed by the place_combiner pass): single-row
   // states merge into per-key partials before bins are packed, so hot keys
   // cross the wire pre-aggregated.
@@ -244,7 +252,7 @@ engine::FlowletGraph lower_ir(const Plan& plan, const Catalog& catalog,
   const std::string out_prefix = "out/query/" + tag + "/";
   if (out_prefix_out != nullptr) *out_prefix_out = out_prefix;
 
-  LowerCtx ctx{catalog, staged, {}};
+  LowerCtx ctx{catalog, staged, {}, {}};
   const engine::FlowletId sink =
       ctx.graph.add_map("QuerySink", make_sink(out_prefix), {"", "row"});
   ctx.graph.flowlet(sink).effect = true;
@@ -255,18 +263,6 @@ engine::FlowletGraph lower_ir(const Plan& plan, const Catalog& catalog,
   const engine::FlowletId top = lower_node(plan, top_emit, ctx);
   ctx.graph.connect(top, sink, engine::local_edge());
   return ctx.graph;
-}
-
-Lowered lower(const Plan& plan, const Catalog& catalog,
-              const StagedTables& staged, const std::string& tag) {
-  Lowered lowered;
-  lowered.out_schema = output_schema(plan, catalog);  // validates the tree
-
-  ir::Lowered backend = ir::lower(
-      ir::optimize(lower_ir(plan, catalog, staged, tag, &lowered.out_prefix)));
-  lowered.graph = std::move(backend.graph);
-  lowered.inputs = std::move(backend.inputs);
-  return lowered;
 }
 
 std::string collect_output_payload(cluster::Cluster& cluster,
@@ -302,11 +298,10 @@ std::vector<Row> run_on_engine(engine::Engine& engine, const Plan& plan,
   // `staged` holds the pins through the run, keeping cached tables resident.
   const StagedTables staged =
       stage_tables(engine.cluster(), catalog, scan_tables(plan), tag, cache);
-  Lowered lowered = lower(plan, catalog, staged, tag);
-  engine.run(lowered.graph, lowered.inputs);
-  return decode_payload(
-      lowered.out_schema,
-      collect_output_payload(engine.cluster(), lowered.out_prefix));
+  std::string out_prefix;
+  ir::run(engine, lower_ir(plan, catalog, staged, tag, &out_prefix));
+  return decode_payload(output_schema(plan, catalog),
+                        collect_output_payload(engine.cluster(), out_prefix));
 }
 
 SubmittedQuery submit_query(service::JobService& service,
@@ -317,23 +312,20 @@ SubmittedQuery submit_query(service::JobService& service,
                             cache::DatasetCache* cache) {
   const StagedTables staged =
       stage_tables(cluster, catalog, scan_tables(plan), tag, cache);
-  Lowered lowered = lower(plan, catalog, staged, tag);
-
+  std::string out_prefix;
   service::JobWork work;
-  work.graph = std::move(lowered.graph);
-  work.inputs = std::move(lowered.inputs);
+  work.graph = lower_ir(plan, catalog, staged, tag, &out_prefix);
   // The service holds the pins until the job is terminal: eviction cannot
   // reclaim a staged table out from under a queued or running query.
   for (const auto& [table, dataset] : staged.cached) {
     work.pins.push_back(dataset);
   }
-  const std::string out_prefix = lowered.out_prefix;
   work.collect = [out_prefix](engine::Engine& engine) {
     return collect_output_payload(engine.cluster(), out_prefix);
   };
 
   SubmittedQuery submitted;
-  submitted.out_schema = std::move(lowered.out_schema);
+  submitted.out_schema = output_schema(plan, catalog);
   submitted.ticket = service.submit(spec, std::move(work));
   return submitted;
 }

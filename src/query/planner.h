@@ -8,15 +8,17 @@
 //                        the nodes and write one framed-row shard file per
 //                        node into its local store (the DFS-resident-input
 //                        analog: scans read node-local disks, paper §5.1);
-//   2. lower()         - recursively compile the plan tree into a
-//                        FlowletGraph + JobInputs. Filter/project chains
-//                        run inside the scan, join or group-by below them,
-//                        on each row before it is encoded; joins and
-//                        group-bys become shuffle stages; a sink map
-//                        collects final rows per node;
-//   3. run             - Engine::run or JobService::submit; the job's
-//                        collect() merges every node's sink file into the
-//                        ticket payload;
+//   2. lower_ir()      - recursively compile the plan tree into a
+//                        FlowletGraph, splits on its scan loaders.
+//                        Filter/project chains run inside the scan, join
+//                        or group-by below them, on each row before it is
+//                        encoded; joins and group-bys become shuffle
+//                        stages; a sink map collects final rows per node;
+//   3. run             - ir::run or JobService::submit (whose lanes run
+//                        ir::run): the IR passes place combiners and fuse
+//                        the sink into its producer; the job's collect()
+//                        merges every node's sink file into the ticket
+//                        payload;
 //   4. decode_payload  - hex lines back into typed rows.
 #pragma once
 
@@ -64,30 +66,17 @@ StagedTables stage_tables(cluster::Cluster& cluster, const Catalog& catalog,
                           const std::string& tag,
                           cache::DatasetCache* cache = nullptr);
 
-struct Lowered {
-  engine::FlowletGraph graph;
-  engine::JobInputs inputs;
-  Schema out_schema;
-  std::string out_prefix;  // "out/query/<tag>/"
-};
-
 // Compiles the plan tree into a flowlet graph (throws std::invalid_argument
-// like output_schema). The graph is un-optimized: callers inspect/dump it,
-// then run it through ir::optimize + ir::lower - which is exactly what
-// lower() does. `out_prefix_out` receives the sink's output prefix when
-// non-null.
+// like output_schema). The graph is un-optimized: ir::run optimizes it
+// (sender-side combiner placement on group-bys, sink/map fusion into the
+// producing stage, dead-flowlet elimination) and runs it. A repeated
+// operator is numbered ("QueryHashJoin#2"), since flowlet names are unique.
+// `out_prefix_out` receives the sink's output prefix ("out/query/<tag>/")
+// when non-null.
 engine::FlowletGraph lower_ir(const Plan& plan, const Catalog& catalog,
                               const StagedTables& staged,
                               const std::string& tag,
                               std::string* out_prefix_out = nullptr);
-
-// Validates the plan (throws std::invalid_argument like output_schema) and
-// compiles it against tables previously staged under the same catalog:
-// lower_ir + the standard IR pass pipeline (sender-side combiner placement
-// on group-bys, sink/map fusion into the producing stage, dead-flowlet
-// elimination) + backend lowering.
-Lowered lower(const Plan& plan, const Catalog& catalog,
-              const StagedTables& staged, const std::string& tag);
 
 // Concatenated sink files (hex rows, one per line) of every node.
 std::string collect_output_payload(cluster::Cluster& cluster,
@@ -95,7 +84,7 @@ std::string collect_output_payload(cluster::Cluster& cluster,
 
 std::vector<Row> decode_payload(const Schema& schema, std::string_view payload);
 
-// One-shot engine path: stage + lower + Engine::run + collect. `tag` keys
+// One-shot engine path: stage + lower_ir + ir::run + collect. `tag` keys
 // the staged inputs and output files, so back-to-back queries on one
 // cluster must use distinct tags. With `cache`, staged tables are served
 // from (and published to) the dataset cache instead of per-query files.
@@ -103,7 +92,7 @@ std::vector<Row> run_on_engine(engine::Engine& engine, const Plan& plan,
                                const Catalog& catalog, const std::string& tag,
                                cache::DatasetCache* cache = nullptr);
 
-// Service path: stage + lower + JobService::submit. The returned ticket's
+// Service path: stage + lower_ir + JobService::submit. The returned ticket's
 // payload() (valid once kDone) decodes with decode_payload(out_schema, ...).
 struct SubmittedQuery {
   std::shared_ptr<service::JobTicket> ticket;

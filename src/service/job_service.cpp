@@ -6,6 +6,7 @@
 
 #include "cache/dataset_cache.h"
 #include "common/logging.h"
+#include "ir/lower.h"
 #include "net/message.h"
 #include "obs/metrics_snapshot.h"
 
@@ -315,10 +316,7 @@ void JobService::run_job(uint32_t lane, const std::shared_ptr<Job>& job) {
     stream_duration = std::chrono::milliseconds(1);
   }
   try {
-    result = stream_duration > Duration::zero()
-                 ? eng.run_streaming(job->work.graph, job->work.inputs,
-                                     stream_duration)
-                 : eng.run(job->work.graph, job->work.inputs);
+    result = ir::run(eng, std::move(job->work.graph), stream_duration);
     if (!result.cancelled && job->work.collect) {
       payload = job->work.collect(eng);
     }

@@ -73,8 +73,8 @@ struct JobSpec {
   std::string tenant = "default";
   int32_t priority = 0;                    // higher dispatches earlier in-tenant
   Duration deadline = Duration::zero();    // from submit time; zero = none
-  std::string job_type;
-  std::string args;
+  std::string job_type{};
+  std::string args{};
 };
 
 // The executable payload of a job. `collect` (optional) runs on the lane
@@ -82,8 +82,9 @@ struct JobSpec {
 // through the ticket / RPC result verb - typically a serialized read of the
 // lane engine's kv store.
 struct JobWork {
+  // The unoptimized job, splits on its loaders; the lane runs it through
+  // ir::run (passes, then the engine).
   engine::FlowletGraph graph;
-  engine::JobInputs inputs;
   // > 0 = streaming job; windows close on event time (no wall-clock flush).
   Duration stream_duration = Duration::zero();
   std::function<std::string(engine::Engine&)> collect;
@@ -180,7 +181,7 @@ struct ServiceConfig {
 
   // Fair-share weight per tenant (default 1.0). A weight-2 tenant receives
   // twice the dispatch share of a weight-1 tenant under contention.
-  std::map<std::string, double> tenant_weights;
+  std::map<std::string, double> tenant_weights{};
 
   // Optional lifecycle log (not owned). Job events are recorded as node 0,
   // flowlet = job id; the engine template's event_log defaults to this too.

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/logging.h"
+#include "ir/lower.h"
 #include "serde/batch.h"
 #include "storage/sorted_run.h"
 
@@ -178,21 +179,21 @@ SortStats run_distributed_sort(engine::Engine& engine, const SortSpec& spec) {
       "sort_load", [spec] { return std::make_unique<SortRunLoader>(spec); });
   const auto sink = graph.add_map(
       "sort_sink", [spec] { return std::make_unique<SortSink>(spec); });
+  graph.flowlet(sink).effect = true;  // writes the sorted run files
   engine::EdgeOptions range_edge;
   range_edge.partitioner = stats.partitioner.as_edge_partitioner();
   graph.connect(loader, sink, range_edge);
 
-  engine::JobInputs inputs;
   for (uint32_t n = 0; n < cluster.size(); ++n) {
     engine::InputSplit split;
     split.path = spec.input_path;
     split.offset = 0;
     split.length = cluster.node(n).store().file_size(spec.input_path).value_or(0);
     split.preferred_node = n;
-    inputs.add(loader, split);
+    graph.flowlet(loader).splits.push_back(std::move(split));
   }
 
-  stats.job = engine.run(graph, inputs);
+  stats.job = ir::run(engine, std::move(graph));
   stats.input_records = stats.job.records_emitted;
   return stats;
 }

@@ -57,6 +57,7 @@ service::JobWork StreamService::make_work(StreamPipeline pipeline,
   }
   const engine::FlowletId sink_id =
       work.graph.add_map("stream.sink", std::move(sink));
+  work.graph.flowlet(sink_id).effect = true;
 
   // Hash-partitioned data edge: (window, key) records and punctuation share
   // per-(src,dst) FIFO channels. Never a combine edge - sender-side combining
@@ -69,7 +70,7 @@ service::JobWork StreamService::make_work(StreamPipeline pipeline,
     engine::InputSplit split;
     split.preferred_node = n;
     split.user_tag = n;
-    work.inputs.add(src_id, split);
+    work.graph.flowlet(src_id).splits.push_back(split);
   }
 
   const std::string dir = pipeline.output_dir;

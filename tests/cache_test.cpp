@@ -344,6 +344,7 @@ service::JobWork publishing_job(uint32_t nodes, uint64_t base,
       work.graph.add_loader("src", [] { return std::make_unique<CountLoader>(); });
   const auto sink =
       work.graph.add_map("sink", [] { return std::make_unique<DropMap>(); });
+  work.graph.flowlet(sink).effect = true;  // its in-edge's tap publishes
   work.graph.connect(loader, sink,
                      publish_tap(engine::EdgeOptions{}, writer));
   for (uint32_t n = 0; n < nodes; ++n) {
@@ -351,7 +352,7 @@ service::JobWork publishing_job(uint32_t nodes, uint64_t base,
     split.preferred_node = n;
     split.offset = base + 10 * n;
     split.user_tag = 3;  // three records per node
-    work.inputs.add(loader, split);
+    work.graph.flowlet(loader).splits.push_back(split);
   }
   work.publish.push_back(std::move(writer));
   return work;

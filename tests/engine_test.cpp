@@ -100,16 +100,20 @@ std::multiset<std::string> collected(cluster::Cluster& cluster) {
   return out;
 }
 
-JobInputs synthetic_inputs(uint32_t loader, uint32_t nodes, uint64_t per_node) {
-  JobInputs inputs;
+// Replaces `loader`'s splits with one synthetic split on each of `nodes`
+// nodes, `per_node` records each; returns the graph for Engine::run.
+const FlowletGraph& with_synthetic_splits(FlowletGraph& g, FlowletId loader,
+                                          uint32_t nodes, uint64_t per_node) {
+  std::vector<InputSplit>& splits = g.flowlet(loader).splits;
+  splits.clear();
   for (uint32_t n = 0; n < nodes; ++n) {
     InputSplit split;
     split.offset = n * per_node;  // id base
     split.user_tag = per_node;    // record count
     split.preferred_node = n;
-    inputs.add(loader, split);
+    splits.push_back(split);
   }
-  return inputs;
+  return g;
 }
 
 }  // namespace
@@ -301,7 +305,7 @@ TEST(Engine, LoaderToMapDeliversAllRecords) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  const auto result = env.engine.run(g, synthetic_inputs(loader, 4, 100));
+  const auto result = env.engine.run(with_synthetic_splits(g, loader, 4, 100));
   EXPECT_EQ(result.records_emitted, 400u);
 
   const auto got = collected(env.cluster);
@@ -316,7 +320,7 @@ TEST(Engine, KeyRoutingSendsEachKeyToOneNode) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);  // default: key-hash routing
-  env.engine.run(g, synthetic_inputs(loader, 4, 50));
+  env.engine.run(with_synthetic_splits(g, loader, 4, 50));
 
   // Every record with the same key landed on exactly the partition node.
   for (uint32_t n = 0; n < 4; ++n) {
@@ -371,14 +375,13 @@ TEST(Engine, ReduceGroupsAllValuesOfKey) {
   auto loader = g.add_loader("l", [] { return std::make_unique<ModLoader>(); });
   auto red = g.add_reduce("r", [] { return std::make_unique<CountingReduce>(); });
   g.connect(loader, red);
-  JobInputs inputs;
   for (uint32_t n = 0; n < 3; ++n) {
     InputSplit split;
     split.user_tag = 100;
     split.preferred_node = n;
-    inputs.add(loader, split);
+    g.flowlet(loader).splits.push_back(split);
   }
-  env.engine.run(g, inputs);
+  env.engine.run(g);
 
   const auto got = collected(env.cluster);
   ASSERT_EQ(got.size(), 10u);  // one line per key: grouping collected all
@@ -426,7 +429,7 @@ TEST(Engine, ReduceSpillsUnderMemoryPressureAndStaysCorrect) {
   auto loader = g.add_loader("l", [] { return std::make_unique<BigValueLoader>(); });
   auto red = g.add_reduce("r", [] { return std::make_unique<SizeReduce>(); });
   g.connect(loader, red);
-  const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 200));
+  const auto result = env.engine.run(with_synthetic_splits(g, loader, 2, 200));
   EXPECT_GT(result.spill_bytes, 0u) << "expected the memory budget to force spills";
 
   uint64_t total = 0;
@@ -460,7 +463,7 @@ TEST(Engine, PartialReduceEmitsOnceOnCompletion) {
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, partial);
   g.connect(partial, sink);
-  env.engine.run(g, synthetic_inputs(loader, 2, 500));
+  env.engine.run(with_synthetic_splits(g, loader, 2, 500));
 
   const auto got = collected(env.cluster);
   ASSERT_EQ(got.size(), 1u);  // exactly one emission for the single key
@@ -524,7 +527,7 @@ TEST(Engine, PartialReduceFoldsABinInArrivalOrderPerKey) {
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, partial);
   g.connect(partial, sink);
-  const JobResult result = env.engine.run(g, synthetic_inputs(loader, 1, 1));
+  const JobResult result = env.engine.run(with_synthetic_splits(g, loader, 1, 1));
   EXPECT_EQ(result.bins_sent, 2u);  // the one folded bin, then the results
 
   std::multiset<std::string> expected;
@@ -582,7 +585,7 @@ TEST(Engine, EmitToNodeAndBroadcast) {
   auto loader = g.add_loader("l", [] { return std::make_unique<DirectedLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  env.engine.run(g, synthetic_inputs(loader, 4, 1));
+  env.engine.run(with_synthetic_splits(g, loader, 4, 1));
 
   // direct record only on node 2; broadcast on all 4 nodes.
   for (uint32_t n = 0; n < 4; ++n) {
@@ -604,7 +607,7 @@ TEST(Engine, FlowControlStallsLoadersButCompletes) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(16); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 3000));
+  const auto result = env.engine.run(with_synthetic_splits(g, loader, 2, 3000));
   EXPECT_EQ(collected(env.cluster).size(), 6000u);
   EXPECT_GT(result.flow_control_stalls, 0u);
 }
@@ -618,7 +621,7 @@ TEST(Engine, FlowControlDisabledNeverStalls) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 500));
+  const auto result = env.engine.run(with_synthetic_splits(g, loader, 2, 500));
   EXPECT_EQ(result.flow_control_stalls, 0u);
   EXPECT_EQ(collected(env.cluster).size(), 1000u);
 }
@@ -630,7 +633,7 @@ TEST(Engine, MultipleJobsReuseEngine) {
     auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
     auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
     g.connect(loader, sink);
-    env.engine.run(g, synthetic_inputs(loader, 2, 100 * (round + 1)));
+    env.engine.run(with_synthetic_splits(g, loader, 2, 100 * (round + 1)));
     EXPECT_EQ(collected(env.cluster).size(), 200u * (round + 1)) << round;
   }
 }
@@ -644,18 +647,17 @@ TEST(Engine, FanInAndFanOutGraph) {
   g.connect(l1, sink);
   g.connect(l2, sink);
 
-  JobInputs inputs;
   InputSplit s1;
   s1.offset = 0;
   s1.user_tag = 50;
   s1.preferred_node = 0;
-  inputs.add(l1, s1);
+  g.flowlet(l1).splits.push_back(s1);
   InputSplit s2;
   s2.offset = 1000;
   s2.user_tag = 70;
   s2.preferred_node = 1;
-  inputs.add(l2, s2);
-  env.engine.run(g, inputs);
+  g.flowlet(l2).splits.push_back(s2);
+  env.engine.run(g);
   EXPECT_EQ(collected(env.cluster).size(), 120u);
 }
 
@@ -665,8 +667,7 @@ TEST(Engine, EmptyInputCompletes) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto red = g.add_reduce("r", [] { return std::make_unique<CollectorReduce>(); });
   g.connect(loader, red);
-  JobInputs inputs;  // no splits at all
-  const auto result = env.engine.run(g, inputs);
+  const auto result = env.engine.run(g);  // no splits at all
   EXPECT_EQ(result.records_emitted, 0u);
 }
 
@@ -683,7 +684,7 @@ TEST(Engine, EmitDuringStartThrows) {
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, bad);
   g.connect(bad, sink);
-  EXPECT_THROW(env.engine.run(g, synthetic_inputs(loader, 1, 1)), std::logic_error);
+  EXPECT_THROW(env.engine.run(with_synthetic_splits(g, loader, 1, 1)), std::logic_error);
 }
 
 TEST(Engine, StreamingWindowsFlushPeriodically) {
@@ -711,8 +712,7 @@ TEST(Engine, StreamingWindowsFlushPeriodically) {
   p.output_dir = "test/windows";
   const service::JobWork work =
       stream::StreamService::make_work(std::move(p), kNodes, nullptr);
-  const JobResult result =
-      env.engine.run_streaming(work.graph, work.inputs, millis(400));
+  const JobResult result = env.engine.run_streaming(work.graph, millis(400));
 
   std::map<std::string, std::set<int64_t>> windows_of;  // key -> window ends
   uint64_t total = 0;
@@ -823,8 +823,7 @@ TEST(Engine, PrefixBarrierWaitsForAParkedEarlierBin) {
   config.event_log = &log;
   config.worker_threads = 3;  // one may sit in the gated loader
   fault::FaultPlan plan;
-  const FlowletId probe_id = 1;
-  plan.crash_points.push_back({.node = 0, .flowlet = probe_id, .times = 1});
+  plan.crash_points.push_back({.node = 0, .flowlet = "probe", .times = 1});
   plan.retry_backoff = millis(200);
   plan.retry_backoff_cap = millis(200);
   fault::FaultInjector injector(plan);
@@ -839,11 +838,9 @@ TEST(Engine, PrefixBarrierWaitsForAParkedEarlierBin) {
   auto probe = g.add_partial_reduce("probe", [state] {
     return std::make_unique<PrefixBarrierProbe>(state);
   });
-  ASSERT_EQ(probe, probe_id);
   g.connect(loader, probe);
-  JobInputs inputs;
-  inputs.add(loader, InputSplit{});
-  env.engine.run(g, inputs);
+  g.flowlet(loader).splits.push_back(InputSplit{});
+  env.engine.run(g);
 
   EXPECT_EQ(log.count(obs::EventKind::kTaskRetry), 1u);
   EXPECT_EQ(state->fires, 1);
@@ -866,11 +863,11 @@ TEST(Engine, RunningTwoJobsConcurrentlyRejected) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("s", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  env.engine.run(g, synthetic_inputs(loader, 1, 10));  // completes fine
+  env.engine.run(with_synthetic_splits(g, loader, 1, 10));  // completes fine
   // (Concurrent-run rejection is covered by the logic_error guard; invoking
   // it concurrently here would race the test itself, so we assert the flag
   // resets by simply running again.)
-  env.engine.run(g, synthetic_inputs(loader, 1, 10));
+  env.engine.run(with_synthetic_splits(g, loader, 1, 10));
 }
 
 namespace {
@@ -927,18 +924,16 @@ struct ParkedRun {
 TEST(Engine, SecondRunWhileFirstInFlightThrowsLogicError) {
   Env env(1);
   ParkedRun pr;
-  std::thread first([&] {
-    env.engine.run(pr.graph, synthetic_inputs(pr.loader, 1, 4));
-  });
+  with_synthetic_splits(pr.graph, pr.loader, 1, 4);
+  std::thread first([&] { env.engine.run(pr.graph); });
   pr.wait_parked();
   // The slot is genuinely occupied: a concurrent entry fails loudly instead
   // of corrupting the in-flight job.
-  EXPECT_THROW(env.engine.run(pr.graph, synthetic_inputs(pr.loader, 1, 4)),
-               std::logic_error);
+  EXPECT_THROW(env.engine.run(pr.graph), std::logic_error);
   pr.release->store(true);
   first.join();
   // ...and the rejection left the running job and the slot intact.
-  env.engine.run(pr.graph, synthetic_inputs(pr.loader, 1, 4));
+  env.engine.run(pr.graph);
 }
 
 // A zero receive budget could never admit a bin (the delivery thread would
@@ -954,7 +949,7 @@ TEST(Engine, FailedRunReleasesSlotForNextJob) {
   Env env(1);
   FlowletGraph bad;
   bad.add_loader("broken", nullptr);
-  EXPECT_THROW(env.engine.run(bad, JobInputs{}), std::invalid_argument);
+  EXPECT_THROW(env.engine.run(bad), std::invalid_argument);
 
   // The guard must release the run slot on the throwing path, or this second
   // run would be rejected as concurrent.
@@ -962,7 +957,7 @@ TEST(Engine, FailedRunReleasesSlotForNextJob) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("s", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  const JobResult result = env.engine.run(g, synthetic_inputs(loader, 1, 10));
+  const JobResult result = env.engine.run(with_synthetic_splits(g, loader, 1, 10));
   EXPECT_FALSE(result.cancelled);
 }
 
@@ -973,7 +968,7 @@ TEST(Engine, RequestCancelAbortsRunAndClearsForNextJob) {
   ParkedRun pr;
   JobResult result;
   std::thread run([&] {
-    result = env.engine.run(pr.graph, synthetic_inputs(pr.loader, 2, 64));
+    result = env.engine.run(with_synthetic_splits(pr.graph, pr.loader, 2, 64));
   });
   pr.wait_parked();
   env.engine.request_cancel();  // never released: only cancel can end it
@@ -983,8 +978,8 @@ TEST(Engine, RequestCancelAbortsRunAndClearsForNextJob) {
   // The cancel flag does not leak into the next job.
   ParkedRun next;
   next.release->store(true);
-  const JobResult clean = env.engine.run(next.graph,
-                                         synthetic_inputs(next.loader, 2, 8));
+  const JobResult clean =
+      env.engine.run(with_synthetic_splits(next.graph, next.loader, 2, 8));
   EXPECT_FALSE(clean.cancelled);
 }
 
@@ -1013,7 +1008,7 @@ TEST(EngineEventLog, BinsProcessedBeforeFlowletCompletes) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  env.engine.run(g, synthetic_inputs(loader, 4, 200));
+  env.engine.run(with_synthetic_splits(g, loader, 4, 200));
 
   // Every enqueued bin was processed, per (node, flowlet) stream.
   for (uint32_t n = 0; n < 4; ++n) {
@@ -1052,7 +1047,7 @@ TEST(EngineEventLog, CompletionPropagatesExactlyOnce) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  env.engine.run(g, synthetic_inputs(loader, 3, 50));
+  env.engine.run(with_synthetic_splits(g, loader, 3, 50));
 
   // Each (node, flowlet) goes Ready -> Complete -> Broadcast exactly once:
   // the finish_scheduled exchange is the only gate into that chain.
@@ -1075,7 +1070,7 @@ TEST(EngineEventLog, ReduceFiresAfterAllUpstreamChannelsComplete) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
   auto red = g.add_reduce("r", [] { return std::make_unique<CollectorReduce>(); });
   g.connect(loader, red);
-  env.engine.run(g, synthetic_inputs(loader, 3, 100));
+  env.engine.run(with_synthetic_splits(g, loader, 3, 100));
 
   for (uint32_t n = 0; n < 3; ++n) {
     const auto stream = log.stream(n, red);
@@ -1112,7 +1107,7 @@ TEST(EngineEventLog, FlowControlStallsPauseAndResumeSameTask) {
   auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(16); });
   auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
   g.connect(loader, sink);
-  const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 3000));
+  const auto result = env.engine.run(with_synthetic_splits(g, loader, 2, 3000));
 
   const uint64_t begins = log.count(obs::EventKind::kStallBegin);
   ASSERT_GT(begins, 0u) << "watermark too high to trip flow control";
@@ -1180,7 +1175,7 @@ TEST(EngineStealing, BinsProcessedBeforeFlowletCompletesAtEightWorkers) {
     auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
     auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
     g.connect(loader, sink);
-    env.engine.run(g, synthetic_inputs(loader, 4, 200));
+    env.engine.run(with_synthetic_splits(g, loader, 4, 200));
 
     for (uint32_t n = 0; n < 4; ++n) {
       EXPECT_EQ(log.count(n, sink, obs::EventKind::kBinEnqueued),
@@ -1222,7 +1217,7 @@ TEST(EngineStealing, CompletionPropagatesExactlyOnceAtEightWorkers) {
     auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
     auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
     g.connect(loader, sink);
-    env.engine.run(g, synthetic_inputs(loader, 3, 50));
+    env.engine.run(with_synthetic_splits(g, loader, 3, 50));
 
     for (uint32_t n = 0; n < 3; ++n) {
       for (FlowletId f : {loader, sink}) {
@@ -1245,7 +1240,7 @@ TEST(EngineStealing, ReduceFiresAfterAllUpstreamChannelsCompleteAtEightWorkers) 
     auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(); });
     auto red = g.add_reduce("r", [] { return std::make_unique<CollectorReduce>(); });
     g.connect(loader, red);
-    env.engine.run(g, synthetic_inputs(loader, 3, 100));
+    env.engine.run(with_synthetic_splits(g, loader, 3, 100));
 
     for (uint32_t n = 0; n < 3; ++n) {
       const auto stream = log.stream(n, red);
@@ -1281,7 +1276,7 @@ TEST(EngineStealing, FlowControlStallsPauseAndResumeSameTaskAtEightWorkers) {
     auto loader = g.add_loader("l", [] { return std::make_unique<SyntheticLoader>(16); });
     auto sink = g.add_map("sink", [] { return std::make_unique<CollectorMap>(); });
     g.connect(loader, sink);
-    const auto result = env.engine.run(g, synthetic_inputs(loader, 2, 3000));
+    const auto result = env.engine.run(with_synthetic_splits(g, loader, 2, 3000));
 
     const uint64_t begins = log.count(obs::EventKind::kStallBegin);
     ASSERT_GT(begins, 0u) << "rep " << rep << ": watermark too high";

@@ -63,7 +63,7 @@ std::string decision_trace(fault::FaultInjector& injector, int events) {
     trace += static_cast<char>('a' + static_cast<int>(m01.action));
     trace += static_cast<char>('a' + static_cast<int>(m23.action));
     trace += injector.on_disk_write(1) ? 'W' : 'w';
-    trace += injector.on_task_start(0, 2) ? 'C' : 'c';
+    trace += injector.on_task_start(0, "Counter") ? 'C' : 'c';
   }
   return trace;
 }
@@ -106,7 +106,7 @@ TEST(FaultInjector, StreamsAreIndependentOfInterleaving) {
     b.on_message(1, 0, net::msg_type::kEngineFrame);
     b.on_message(2, 1, net::msg_type::kEngineFrame);
     b.on_disk_write(0);
-    b.on_task_start(1, 1);
+    b.on_task_start(1, "Splitter");
     seq_b.push_back(b.on_message(0, 1, net::msg_type::kEngineFrame).action);
   }
   EXPECT_EQ(seq_a, seq_b);
@@ -143,17 +143,18 @@ TEST(FaultInjector, CrashPointsFireExactlyTimesThenStop) {
   fault::FaultPlan plan;
   fault::CrashPoint cp;
   cp.node = 2;
-  cp.flowlet = 1;
+  cp.flowlet = "TextLoader+Splitter";
   cp.times = 3;
   plan.crash_points.push_back(cp);
   fault::FaultInjector injector(plan);
   int crashes = 0;
   for (int i = 0; i < 10; ++i) {
-    if (injector.on_task_start(2, 1)) ++crashes;
+    if (injector.on_task_start(2, "TextLoader+Splitter")) ++crashes;
   }
   EXPECT_EQ(crashes, 3);
-  EXPECT_FALSE(injector.on_task_start(2, 2));  // other flowlet unaffected
-  EXPECT_FALSE(injector.on_task_start(1, 1));  // other node unaffected
+  // Another flowlet and another node are unaffected.
+  EXPECT_FALSE(injector.on_task_start(2, "TextLoader"));
+  EXPECT_FALSE(injector.on_task_start(1, "TextLoader+Splitter"));
   EXPECT_EQ(injector.stats().task_crashes, 3u);
 }
 
@@ -178,10 +179,10 @@ TEST(Chaos, WordCountSurvivesMessageChaosByteIdentical) {
 }
 
 TEST(ChaosIR, FusedWordCountSurvivesChaosByteIdentical) {
-  // The same 5% drop + 2% crash plan, but the job is lowered through the
-  // standard IR pass pipeline (loader+splitter fused into one task body).
-  // Fusion moves work between flowlets, so retries replay bigger units -
-  // the output must still match the sequential reference byte for byte.
+  // The same 5% drop + 2% crash plan on another staging: the IR passes fuse
+  // loader+splitter into one task body, so a crashed chunk replays the
+  // split's tokenizing too - the output must still match the sequential
+  // reference byte for byte.
   ChaosEnv chaos(fault::FaultPlan::chaos(/*seed=*/11, /*msg_rate=*/0.05,
                                          /*crash_rate=*/0.02));
   gen::TextSpec spec;
@@ -191,16 +192,14 @@ TEST(ChaosIR, FusedWordCountSurvivesChaosByteIdentical) {
   auto staged = apps::stage_input(chaos.env, "wc_chaos_ir", shards, 16 * 1024);
   const auto expected = apps::wordcount::reference(shards);
 
-  auto info = apps::wordcount::run_hamr(chaos.env, staged, /*combine=*/false,
-                                        /*use_full_reduce=*/false,
-                                        /*fused=*/true);
+  auto info = apps::wordcount::run_hamr(chaos.env, staged);
   EXPECT_EQ(apps::wordcount::hamr_output(chaos.env), expected);
   EXPECT_GT(info.engine_result.faults_injected, 0u);
 }
 
 TEST(ChaosIR, FusedCombinerWordCountSurvivesChaosByteIdentical) {
-  // Fused lowering with the sender-side combiner placed by the IR pipeline:
-  // the combine edge folds through the fused flowlet's forwarded fold().
+  // Fused stage with the sender-side combiner placed by the IR passes: the
+  // combine edge folds through the fused flowlet's forwarded fold().
   ChaosEnv chaos(fault::FaultPlan::chaos(/*seed=*/23, /*msg_rate=*/0.05,
                                          /*crash_rate=*/0.02));
   gen::TextSpec spec;
@@ -210,9 +209,7 @@ TEST(ChaosIR, FusedCombinerWordCountSurvivesChaosByteIdentical) {
   auto staged = apps::stage_input(chaos.env, "wc_chaos_irc", shards, 16 * 1024);
   const auto expected = apps::wordcount::reference(shards);
 
-  auto info = apps::wordcount::run_hamr(chaos.env, staged, /*combine=*/true,
-                                        /*use_full_reduce=*/false,
-                                        /*fused=*/true);
+  auto info = apps::wordcount::run_hamr(chaos.env, staged, /*combine=*/true);
   EXPECT_EQ(apps::wordcount::hamr_output(chaos.env), expected);
   EXPECT_GT(info.engine_result.faults_injected, 0u);
 }
@@ -371,11 +368,12 @@ TEST(Chaos, CacheInvalidationMidChainForcesColdFallbackByteIdentical) {
 
 TEST(Chaos, ExplicitCrashPointsAreRetriedToCompletion) {
   fault::FaultPlan plan;
-  // The wordcount graph is loader(0) -> splitter map(1) -> count(2); crash
-  // the splitter's first four bins on node 0 and the counter's first two on
-  // node 3.
-  plan.crash_points.push_back(fault::CrashPoint{0, 1, 4});
-  plan.crash_points.push_back(fault::CrashPoint{3, 2, 2});
+  // WordCount runs as two stages, the fused "TextLoader+Splitter" and the
+  // "Counter" partial reduce: crash the first four loader chunks on node 0
+  // and the counter's first two bins on node 3.
+  plan.crash_points.push_back(
+      {.node = 0, .flowlet = "TextLoader+Splitter", .times = 4});
+  plan.crash_points.push_back({.node = 3, .flowlet = "Counter", .times = 2});
   ChaosEnv chaos(plan);
 
   gen::TextSpec spec;
@@ -418,9 +416,9 @@ TEST(Chaos, ZeroFaultPlanRunsCleanlyOverReliableChannel) {
   }
 
   // The same snapshot carries the per-flowlet task-latency histograms
-  // registered at job build time (wordcount: loader 0 -> map 1 -> reduce 2).
-  for (int f : {0, 1, 2}) {
-    const std::string name = "engine.flowlet." + std::to_string(f) + ".task_us";
+  // registered at job build time, keyed by the stages' names.
+  for (const char* stage : {"TextLoader+Splitter", "Counter"}) {
+    const std::string name = std::string("engine.flowlet.") + stage + ".task_us";
     const obs::HistogramSnapshot* h = m.histogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_GT(h->count, 0u) << name;
@@ -523,7 +521,7 @@ TEST(ChaosStream, WindowedWordCountStaysByteIdenticalUnderChaos) {
   auto run = [&](apps::BenchEnv& env) {
     service::JobWork work =
         stream::StreamService::make_work(pipeline(), env.nodes(), nullptr);
-    env.engine->run(work.graph, work.inputs);
+    env.engine->run(work.graph);
     return stream::WindowFileSink::read_all(*env.cluster, "chaos_stream/out");
   };
 

@@ -1,7 +1,7 @@
 // Tests for the flowlet-graph IR (engine/graph.h + src/ir/): verifier rules,
-// the optimizing passes, lowering, and the EventLog-measurable effect of fusion
-// (fused graphs emit byte-identical output through strictly fewer bin
-// dispatches).
+// the optimizing passes, ir::run as every app's path to the engine, and the
+// EventLog-measurable effect of fusion (fused graphs emit byte-identical
+// output through strictly fewer bin dispatches).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,10 +9,17 @@
 #include <string>
 #include <vector>
 
+#include "apps/classification.h"
 #include "apps/common.h"
+#include "apps/histograms.h"
+#include "apps/kcliques.h"
+#include "apps/kmeans.h"
+#include "apps/naive_bayes.h"
+#include "apps/pagerank.h"
 #include "apps/wordcount.h"
 #include "engine/engine.h"
 #include "engine/graph.h"
+#include "gen/generators.h"
 #include "ir/lower.h"
 #include "ir/passes.h"
 #include "obs/event_log.h"
@@ -149,6 +156,25 @@ TEST(IrVerify, RejectsNodeWithoutFactory) {
   EXPECT_THROW(engine::verify(g), std::invalid_argument);
 }
 
+TEST(IrVerify, RejectsDuplicateFlowletNames) {
+  // Names key crash points and per-flowlet metrics, so two flowlets may not
+  // share one.
+  Graph g;
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId a = add_sink(g, "sink", stub_factory());
+  const NodeId b = add_sink(g, "sink", stub_factory());
+  g.connect(src, a);
+  g.connect(src, b);
+  try {
+    engine::verify(g);
+    FAIL() << "expected a duplicate-name error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("two flowlets are named 'sink'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- passes ---------------------------------------------------------------
 
 TEST(IrPasses, FuseMapsCollapsesALocalChain) {
@@ -274,19 +300,19 @@ TEST(IrPasses, EliminateDeadKeepsNodesThatWouldRenumberPorts) {
 }
 
 TEST(IrPasses, StandardPipelineIsVerifiedBetweenPasses) {
-  // A graph that is invalid from the start fails in run() with the
+  // A graph that is invalid from the start fails in optimize() with the
   // context-free message, before any pass mutates it.
   Graph g;
   g.add_map("orphan", stub_factory());
-  EXPECT_THROW(ir::PassPipeline::standard().run(g), std::invalid_argument);
+  EXPECT_THROW(ir::optimize(g), std::invalid_argument);
 }
 
-TEST(IrPasses, NoFusionPipelinePreservesShape) {
+TEST(IrPasses, PlaceCombinerPreservesShape) {
   ir::Graph g = apps::wordcount::build_ir(/*combine=*/true);
-  const ir::Graph out = ir::PassPipeline::no_fusion().run(g);
+  const ir::Graph out = ir::place_combiner(g);
   EXPECT_EQ(out.flowlets.size(), g.flowlets.size());
   EXPECT_EQ(out.edges.size(), g.edges.size());
-  // ... but still places the combiner on the shuffle edge.
+  // ... and only adds the combiner on the shuffle edge.
   bool combined = false;
   for (const auto& e : out.edges) combined |= e.options.combine;
   EXPECT_TRUE(combined);
@@ -323,48 +349,26 @@ TEST(IrDump, RendersNodesEdgesAndAttributes) {
 
 // --- lowering -------------------------------------------------------------
 
-TEST(IrLower, UnfusedWordCountPreservesHandBuiltFlowletIds) {
-  // The chaos suite pins crash points to loader=0, splitter=1, count=2;
-  // the shape-preserving lowering must keep that contract forever.
-  uint32_t loader = 99;
-  const engine::FlowletGraph g = apps::wordcount::build_graph(&loader);
-  EXPECT_EQ(loader, 0u);
-  ASSERT_EQ(g.num_flowlets(), 3u);
-  EXPECT_EQ(g.flowlet(0).kind, engine::FlowletKind::kLoader);
-  EXPECT_EQ(g.flowlet(1).kind, engine::FlowletKind::kMap);
-  EXPECT_EQ(g.flowlet(2).kind, engine::FlowletKind::kPartialReduce);
-}
-
-TEST(IrLower, MovesSplitsIntoJobInputsAndKeepsEdgeOptions) {
-  Graph g;
-  const NodeId src = g.add_loader("src", stub_factory());
-  const NodeId comb = g.add_partial_reduce("fold", stub_factory());
-  g.flowlet(comb).effect = true;
+TEST(IrLower, FusedWordCountKeepsSplitsOnItsLoaderAndEdgeOptions) {
+  ir::Graph g = apps::wordcount::build_ir(/*combine=*/true);
   engine::InputSplit split;
   split.path = "input/x";
   split.length = 7;
   split.preferred_node = 1;
-  g.flowlet(src).splits.push_back(split);
-  EdgeOptions options;
-  options.combine = true;
-  g.connect(src, comb, options);
+  g.flowlet(0).splits.push_back(split);
 
-  const ir::Lowered lowered = ir::lower(g);
-  ASSERT_EQ(lowered.graph.num_flowlets(), 2u);
-  EXPECT_TRUE(lowered.graph.edge(0).options.combine);
-  EXPECT_TRUE(lowered.graph.flowlet(src).splits.empty());  // moved, not copied
-  const auto& splits = lowered.inputs.splits.at(src);
-  ASSERT_EQ(splits.size(), 1u);
-  EXPECT_EQ(splits[0].path, "input/x");
-  EXPECT_EQ(splits[0].preferred_node, 1u);
-}
-
-TEST(IrLower, FusedWordCountHasTwoFlowlets) {
-  uint32_t loader = 99;
-  const ir::Lowered lowered =
-      apps::wordcount::build_fused(&loader, /*combine=*/false);
-  EXPECT_EQ(lowered.graph.num_flowlets(), 2u);  // loader+splitter, counter
-  EXPECT_EQ(lowered.graph.flowlet(loader).kind, engine::FlowletKind::kLoader);
+  const ir::Graph out = ir::lower(ir::optimize(std::move(g)));
+  ASSERT_EQ(out.num_flowlets(), 2u);  // loader+splitter, counter
+  const engine::GraphNode& loader = out.flowlet(0);
+  EXPECT_EQ(loader.kind, engine::FlowletKind::kLoader);
+  EXPECT_EQ(loader.name, "TextLoader+Splitter");
+  // The splits ride the fused loader; nothing else carries any.
+  ASSERT_EQ(loader.splits.size(), 1u);
+  EXPECT_EQ(loader.splits[0].path, "input/x");
+  EXPECT_EQ(loader.splits[0].preferred_node, 1u);
+  EXPECT_TRUE(out.flowlet(1).splits.empty());
+  ASSERT_EQ(out.num_edges(), 1u);
+  EXPECT_TRUE(out.edge(0).options.combine);
 }
 
 // --- end-to-end: fusion is an optimization, not a semantics change --------
@@ -386,6 +390,8 @@ struct LoggedRun {
   uint64_t bins_processed = 0;
 };
 
+// `fused` runs WordCount through ir::run (run_hamr); otherwise the graph
+// goes to Engine::run exactly as built.
 LoggedRun run_wordcount_logged(bool fused) {
   obs::EventLog log;
   engine::EngineConfig config = engine::EngineConfig::fast();
@@ -394,8 +400,13 @@ LoggedRun run_wordcount_logged(bool fused) {
       apps::BenchEnv::make(cluster::ClusterConfig::fast(4, 2), config);
   const apps::StagedInput input =
       apps::stage_input(env, "wordcount", wc_shards(4));
-  apps::wordcount::run_hamr(env, input, /*combine=*/false,
-                            /*use_full_reduce=*/false, fused);
+  if (fused) {
+    apps::wordcount::run_hamr(env, input);
+  } else {
+    engine::FlowletGraph graph = apps::wordcount::build_ir();
+    graph.flowlet(0).splits = input.splits;
+    env.engine->run(graph);
+  }
   LoggedRun run;
   run.output = apps::wordcount::hamr_output(env);
   run.bins_enqueued = log.count(obs::EventKind::kBinEnqueued);
@@ -426,10 +437,86 @@ TEST(IrEventLog, FusedCombinerWordCountStaysByteIdentical) {
       apps::BenchEnv::make(cluster::ClusterConfig::fast(4, 2), config);
   const apps::StagedInput input =
       apps::stage_input(env, "wordcount", wc_shards(4));
-  apps::wordcount::run_hamr(env, input, /*combine=*/true,
-                            /*use_full_reduce=*/false, /*fused=*/true);
+  apps::wordcount::run_hamr(env, input, /*combine=*/true);
   EXPECT_EQ(apps::wordcount::hamr_output(env),
             apps::wordcount::reference(wc_shards(4)));
+}
+
+// --- ir::run is every app's path -------------------------------------------
+
+// Each Table 2 app's result carries the task histogram of its fused
+// loader stage, a name only the fusion passes create: every builder went
+// through ir::run.
+bool ran_stage(const engine::JobResult& result, const std::string& stage) {
+  const obs::HistogramSnapshot* h =
+      result.metrics.histogram("engine.flowlet." + stage + ".task_us");
+  return h != nullptr && h->count > 0;
+}
+
+TEST(IrRun, EveryTable2AppRunsItsFusedLoaderStage) {
+  apps::BenchEnv env = apps::BenchEnv::fast(4);
+  auto shards = [&](auto make) { return apps::make_shards(env.nodes(), make); };
+
+  gen::MoviesSpec vec_spec;
+  vec_spec.total_bytes = 64 * 1024;
+  const auto vectors = shards(
+      [&](uint32_t i) { return gen::movie_vectors_shard(vec_spec, i, 4); });
+  const auto vec_in = apps::stage_input(env, "vectors", vectors, 16 * 1024);
+  const auto km = apps::kmeans::make_params(vectors, 4);
+  EXPECT_TRUE(ran_stage(apps::kmeans::run_hamr(env, vec_in, km).engine_result,
+                        "TextLoader+ClusterGen"));
+  EXPECT_TRUE(ran_stage(
+      apps::classification::run_hamr(env, vec_in, km).engine_result,
+      "TextLoader+ClassifyMap"));
+
+  gen::WebGraphSpec web_spec;
+  web_spec.num_pages = 256;
+  web_spec.num_edges = 2048;
+  const auto web_in = apps::stage_input(
+      env, "web",
+      shards([&](uint32_t i) { return gen::web_graph_shard(web_spec, i, 4); }));
+  apps::pagerank::Params pr;
+  pr.num_pages = web_spec.num_pages;
+  pr.iterations = 2;
+  const auto pr_run = apps::pagerank::run_hamr(env, web_in, pr);
+  ASSERT_EQ(pr_run.engine_results.size(), 2u);
+  EXPECT_TRUE(ran_stage(pr_run.engine_results[0], "EdgeFileLoader+EdgeMap"));
+  EXPECT_TRUE(ran_stage(pr_run.engine_results[1], "MergeRed+ContMap"));
+
+  gen::RmatSpec rmat_spec;
+  rmat_spec.scale = 6;
+  rmat_spec.num_edges = 400;
+  const auto rmat_in = apps::stage_input(
+      env, "rmat",
+      shards([&](uint32_t i) { return gen::rmat_shard(rmat_spec, i, 4); }));
+  apps::kcliques::Params kc;
+  kc.k = 3;
+  EXPECT_TRUE(ran_stage(apps::kcliques::run_hamr(env, rmat_in, kc).engine_result,
+                        "KCliquesLoader+EdgeKeyMap"));
+
+  const auto text_in = apps::stage_input(env, "text", wc_shards(4));
+  EXPECT_TRUE(ran_stage(apps::wordcount::run_hamr(env, text_in).engine_result,
+                        "TextLoader+Splitter"));
+
+  gen::MoviesSpec movie_spec;
+  movie_spec.total_bytes = 64 * 1024;
+  const auto movie_in = apps::stage_input(
+      env, "movies",
+      shards([&](uint32_t i) { return gen::movies_shard(movie_spec, i, 4); }));
+  for (const auto kind :
+       {apps::histograms::Kind::kMovies, apps::histograms::Kind::kRatings}) {
+    EXPECT_TRUE(ran_stage(
+        apps::histograms::run_hamr(env, movie_in, kind).engine_result,
+        "TextLoader+HistogramMap"));
+  }
+
+  gen::DocsSpec docs_spec;
+  docs_spec.total_bytes = 64 * 1024;
+  const auto docs_in = apps::stage_input(
+      env, "docs",
+      shards([&](uint32_t i) { return gen::docs_shard(docs_spec, i, 4); }));
+  EXPECT_TRUE(ran_stage(apps::naive_bayes::run_hamr(env, docs_in).engine_result,
+                        "TextLoader+IndexInstances"));
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ class Collector : public MapFlowlet {
     lines_ += std::string(record.key) + "\t" + std::string(record.value) + "\n";
   }
   void finish(Context& ctx) override {
-    ctx.local_store().write_file("test/loader_out" + std::to_string(ctx.node()),
+    ctx.local_store().write_file("test/loaded_node" + std::to_string(ctx.node()),
                                  lines_);
   }
 
@@ -43,7 +43,7 @@ class Collector : public MapFlowlet {
 std::vector<std::pair<std::string, std::string>> collect(cluster::Cluster& cluster) {
   std::vector<std::pair<std::string, std::string>> out;
   for (uint32_t n = 0; n < cluster.size(); ++n) {
-    for (const auto& path : cluster.node(n).store().list("test/loader_out")) {
+    for (const auto& path : cluster.node(n).store().list("test/loaded_node")) {
       const std::string text = cluster.node(n).store().read_file(path).value();
       size_t pos = 0;
       while (pos < text.size()) {
@@ -78,13 +78,12 @@ TEST(TextLoader, EmitsEveryLineWithByteOffsets) {
   auto sink = g.add_map("sink", [] { return std::make_unique<Collector>(); });
   g.connect(loader, sink, local_edge());
 
-  JobInputs inputs;
   InputSplit split;
   split.path = "input/f";
   split.length = file.size();
   split.preferred_node = 0;
-  inputs.add(loader, split);
-  env.engine.run(g, inputs);
+  g.flowlet(loader).splits.push_back(split);
+  env.engine.run(g);
 
   auto got = collect(env.cluster);
   ASSERT_EQ(got.size(), 100u);
@@ -107,12 +106,11 @@ TEST(TextLoader, SkipsEmptyLinesAndHandlesMissingTrailingNewline) {
   auto loader = g.add_loader("l", [] { return std::make_unique<TextLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<Collector>(); });
   g.connect(loader, sink, local_edge());
-  JobInputs inputs;
   InputSplit split;
   split.path = "input/f";
   split.length = 7;
-  inputs.add(loader, split);
-  env.engine.run(g, inputs);
+  g.flowlet(loader).splits.push_back(split);
+  env.engine.run(g);
 
   auto got = collect(env.cluster);
   ASSERT_EQ(got.size(), 3u);
@@ -131,12 +129,11 @@ TEST(TextLoader, RespectsSplitRanges) {
   auto loader = g.add_loader("l", [] { return std::make_unique<TextLoader>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<Collector>(); });
   g.connect(loader, sink, local_edge());
-  JobInputs inputs;
   InputSplit s1{"input/f", 0, 10, 0, 0};
   InputSplit s2{"input/f", 10, 10, 0, 0};
-  inputs.add(loader, s1);
-  inputs.add(loader, s2);
-  env.engine.run(g, inputs);
+  g.flowlet(loader).splits.push_back(s1);
+  g.flowlet(loader).splits.push_back(s2);
+  env.engine.run(g);
 
   auto got = collect(env.cluster);
   std::multiset<std::string> values;
@@ -159,11 +156,10 @@ TEST(RateLimitedSource, PacesEmissionRate) {
   auto source = g.add_loader("src", [] { return std::make_unique<Source>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<Collector>(); });
   g.connect(source, sink, local_edge());
-  JobInputs inputs;
-  inputs.add(source, InputSplit{});
+  g.flowlet(source).splits.push_back(InputSplit{});
 
   Stopwatch watch;
-  const auto result = env.engine.run_streaming(g, inputs, millis(500));
+  const auto result = env.engine.run_streaming(g, millis(500));
   const double elapsed = watch.elapsed_seconds();
   EXPECT_GE(elapsed, 0.45);
   // ~2000 rec/s for ~0.5 s => roughly 1000 records (chunked, so allow slack).
@@ -186,13 +182,12 @@ TEST(Streaming, SourcesStopAndJobDrainsCompletely) {
   auto source = g.add_loader("src", [] { return std::make_unique<Source>(); });
   auto sink = g.add_map("sink", [] { return std::make_unique<Collector>(); });
   g.connect(source, sink);
-  JobInputs inputs;
   for (uint32_t n = 0; n < 2; ++n) {
     InputSplit split;
     split.preferred_node = n;
-    inputs.add(source, split);
+    g.flowlet(source).splits.push_back(split);
   }
-  const auto result = env.engine.run_streaming(g, inputs, millis(300));
+  const auto result = env.engine.run_streaming(g, millis(300));
   // Everything emitted was delivered (no records lost at shutdown).
   EXPECT_EQ(collect(env.cluster).size(), result.records_emitted);
 }

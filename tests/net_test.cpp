@@ -7,12 +7,14 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/clock.h"
 #include "fault/fault.h"
 #include "net/inproc_transport.h"
 #include "net/router.h"
 #include "net/rpc.h"
 #include "net/tcp_transport.h"
+#include "obs/metrics_snapshot.h"
 
 using namespace hamr;
 using namespace hamr::net;
@@ -217,6 +219,22 @@ TEST(Router, DispatchesByTypeAndDropsUnknown) {
   ASSERT_EQ(a.wait_for(2), 2u);
   ASSERT_EQ(b.wait_for(1), 1u);
   EXPECT_EQ(a.messages[1].payload, "to-a-2");
+}
+
+TEST(Router, UnroutableMessagesCountInTheNodeMetrics) {
+  cluster::Cluster cluster(cluster::ClusterConfig::fast(2));
+  const uint32_t kUnregistered = 987'654;  // no layer registers this type
+  cluster.node(0).router().endpoint()->send(1, kUnregistered, "nobody");
+  cluster.node(0).router().endpoint()->send(1, kUnregistered, "home");
+  const TimePoint give_up = now() + std::chrono::seconds(10);
+  Counter* dropped = cluster.node(1).metrics().counter("net.unroutable");
+  while (dropped->get() < 2 && now() < give_up) {
+    std::this_thread::sleep_for(millis(1));
+  }
+  EXPECT_EQ(obs::MetricsSnapshot::capture(cluster.node(1).metrics())
+                .counter("net.unroutable"),
+            2u);
+  EXPECT_EQ(cluster.total_counter("net.unroutable"), 2u);  // node 0 saw none
 }
 
 TEST(Router, DuplicateRegistrationThrows) {

@@ -7,6 +7,7 @@
 // query_testgen.h), so any divergence is a real lowering or operator bug,
 // not float noise.
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,34 @@ TEST_F(QueryDifferential, MultiColumnJoinKeysComposeViaEncodeKey) {
   const auto rows = reference_eval(*plan, catalog);
   ASSERT_FALSE(rows.empty());  // ("ab" x "ab") pairs exist by construction
   expect_differential_match(*plan, catalog, "edge_multicol_join");
+}
+
+TEST_F(QueryDifferential, SelfJoinsNumberTheRepeatedOperators) {
+  // t1 joined with itself, twice: three scans of one table and two joins in
+  // one graph. Flowlet names are unique, so the planner numbers the repeats.
+  Catalog catalog;
+  Table t = three_col_table();
+  for (int64_t i = 0; i < 40; ++i) {
+    t.rows.push_back({V(i % 10), V(static_cast<double>(i) / 4.0),
+                      V(i % 2 ? "x" : "y")});
+  }
+  catalog.tables["t1"] = std::move(t);
+  PlanPtr plan =
+      hash_join(hash_join(scan("t1"), scan("t1"), 0, 0), scan("t1"), 0, 0);
+
+  const std::string tag = "edge_self_join";
+  const StagedTables staged =
+      stage_tables(env_->engine->cluster(), catalog, scan_tables(*plan), tag);
+  std::set<std::string> names;
+  for (const engine::GraphNode& node :
+       lower_ir(*plan, catalog, staged, tag).flowlets) {
+    names.insert(node.name);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "QuerySink", "QueryHashJoin", "QueryHashJoin#2",
+                       "QueryScan(t1)", "QueryScan(t1)#2", "QueryScan(t1)#3"}));
+  ASSERT_FALSE(reference_eval(*plan, catalog).empty());
+  expect_differential_match(*plan, catalog, tag);
 }
 
 TEST_F(QueryDifferential, SingleHotGroupByKey) {

@@ -90,11 +90,12 @@ struct TestJob {
         "load", [g] { return std::make_unique<GateLoader>(g); });
     const auto sink = w.graph.add_map(
         "sink", [s] { return std::make_unique<CountSink>(s); });
+    w.graph.flowlet(sink).effect = true;  // counts into `seen`
     w.graph.connect(loader, sink);
     InputSplit split;
     split.user_tag = records;
     split.preferred_node = 0;
-    w.inputs.add(loader, split);
+    w.graph.flowlet(loader).splits.push_back(split);
     return w;
   }
 };
@@ -527,13 +528,14 @@ JobWork wordcount_work(std::shared_ptr<Gate> gate,
       "words", [gate] { return std::make_unique<WordLoader>(gate); });
   const auto counts = w.graph.add_reduce(
       "count", [out] { return std::make_unique<WordCountReduce>(out); });
+  w.graph.flowlet(counts).effect = true;  // counts into `out`
   w.graph.connect(loader, counts);
   for (uint32_t n = 0; n < nodes; ++n) {
     InputSplit split;
     split.offset = n * per_node;
     split.user_tag = per_node;
     split.preferred_node = n;
-    w.inputs.add(loader, split);
+    w.graph.flowlet(loader).splits.push_back(split);
   }
   return w;
 }

@@ -211,7 +211,7 @@ TEST(FileTailSource, ParsesLinesSkipsMalformedKeepsPartialTail) {
 
   service::JobWork work = StreamService::make_work(p, 1, nullptr);
   engine::Engine eng(cluster, engine::EngineConfig::fast());
-  eng.run(work.graph, work.inputs);
+  eng.run(work.graph);
   const auto got = parse_sink(work.collect(eng));
 
   std::map<std::string, std::string> want;
@@ -249,7 +249,7 @@ TEST(EventTimeWindows, BoundedReplayMatchesReferenceExactly) {
 
   service::JobWork work = StreamService::make_work(
       count_pipeline(gen, window, "et/out"), kNodes, nullptr);
-  const engine::JobResult result = env.engine.run(work.graph, work.inputs);
+  const engine::JobResult result = env.engine.run(work.graph);
 
   EXPECT_EQ(parse_sink(work.collect(env.engine)),
             reference_counts(gen, window, kNodes));
@@ -275,7 +275,7 @@ TEST(EventTimeWindows, NegativeEventTimesMatchReference) {
   service::JobWork work = StreamService::make_work(
       count_pipeline(gen, window, "neg/out", /*punctuate_every=*/128), kNodes,
       nullptr);
-  env.engine.run(work.graph, work.inputs);
+  env.engine.run(work.graph);
 
   EXPECT_EQ(parse_sink(work.collect(env.engine)),
             reference_counts(gen, window, kNodes));
@@ -292,7 +292,7 @@ TEST(EventTimeWindows, SlidingWindowsCountEventsInEveryCover) {
 
   service::JobWork work = StreamService::make_work(
       count_pipeline(gen, window, "sl/out"), kNodes, nullptr);
-  env.engine.run(work.graph, work.inputs);
+  env.engine.run(work.graph);
 
   const auto got = parse_sink(work.collect(env.engine));
   EXPECT_EQ(got, reference_counts(gen, window, kNodes));
@@ -312,7 +312,7 @@ TEST(EventTimeWindows, MetricsSurfaceInJobResult) {
   service::JobWork work = StreamService::make_work(
       count_pipeline(gen, window, "m/out", /*punctuate_every=*/128), 2,
       nullptr);
-  const engine::JobResult result = env.engine.run(work.graph, work.inputs);
+  const engine::JobResult result = env.engine.run(work.graph);
 
   EXPECT_EQ(result.metrics.counter("stream.events_ingested"), 2000u * 2);
   EXPECT_GT(result.metrics.counter("stream.windows_emitted"), 0u);
@@ -350,7 +350,7 @@ TEST(StreamEventLog, EmitNeverPrecedesTheWatermarkThatClosesTheWindow) {
       nullptr);
   // stream.window is the second flowlet added by make_work.
   const int64_t win_flowlet = 1;
-  env.engine.run(work.graph, work.inputs);
+  env.engine.run(work.graph);
 
   EXPECT_GT(log.count(obs::EventKind::kWatermarkAdvance), 0u);
   EXPECT_GT(log.count(obs::EventKind::kWindowEmit), 0u);
