@@ -349,11 +349,37 @@ TEST(IrDump, RendersNodesEdgesAndAttributes) {
 
 // --- lowering -------------------------------------------------------------
 
-TEST(IrLower, FusedWordCountKeepsSplitsOnItsLoaderAndEdgeOptions) {
-  ir::Graph g = apps::wordcount::build_ir(/*combine=*/true);
+// A job's inputs are the splits on its loader nodes: lowering keeps them
+// there (nothing moves them into a side table) and keeps the edge options.
+TEST(IrLower, MovesSplitsIntoJobInputsAndKeepsEdgeOptions) {
+  Graph g;
+  const NodeId src = g.add_loader("src", stub_factory());
+  const NodeId comb = g.add_partial_reduce("fold", stub_factory());
+  g.flowlet(comb).effect = true;
   engine::InputSplit split;
   split.path = "input/x";
   split.length = 7;
+  split.preferred_node = 1;
+  g.flowlet(src).splits.push_back(split);
+  EdgeOptions options;
+  options.combine = true;
+  g.connect(src, comb, options);
+
+  const ir::Graph out = ir::lower(std::move(g));
+  ASSERT_EQ(out.num_flowlets(), 2u);
+  ASSERT_EQ(out.num_edges(), 1u);
+  EXPECT_TRUE(out.edge(0).options.combine);
+  const auto& splits = out.flowlet(src).splits;
+  ASSERT_EQ(splits.size(), 1u);
+  EXPECT_EQ(splits[0].path, "input/x");
+  EXPECT_EQ(splits[0].preferred_node, 1u);
+  EXPECT_TRUE(out.flowlet(comb).splits.empty());
+}
+
+TEST(IrLower, FusedWordCountHasTwoFlowlets) {
+  ir::Graph g = apps::wordcount::build_ir(/*combine=*/true);
+  engine::InputSplit split;
+  split.path = "input/x";
   split.preferred_node = 1;
   g.flowlet(0).splits.push_back(split);
 
@@ -365,7 +391,6 @@ TEST(IrLower, FusedWordCountKeepsSplitsOnItsLoaderAndEdgeOptions) {
   // The splits ride the fused loader; nothing else carries any.
   ASSERT_EQ(loader.splits.size(), 1u);
   EXPECT_EQ(loader.splits[0].path, "input/x");
-  EXPECT_EQ(loader.splits[0].preferred_node, 1u);
   EXPECT_TRUE(out.flowlet(1).splits.empty());
   ASSERT_EQ(out.num_edges(), 1u);
   EXPECT_TRUE(out.edge(0).options.combine);
